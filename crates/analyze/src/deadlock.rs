@@ -26,13 +26,14 @@
 //! witness on failure.
 
 use ftr_rules::value::{Type, Value};
-use ftr_rules::{CompiledProgram, InputMap, Machine, RegFile};
+use ftr_rules::{CompiledProgram, InputMap, Machine, Program, RegFile};
 use ftr_topo::cdg::{Channel, ChannelDependencyGraph};
 use ftr_topo::faults::SimpleRng;
 use ftr_topo::mesh::MESH_PORTS;
 use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId, EAST, NORTH, SOUTH};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Virtual network 0 of the NARA pair: may route E/W/N.
 const VNET_NO_SOUTH: u8 = 0;
@@ -74,17 +75,27 @@ pub struct DeadlockReport {
     /// Scenarios with a dependency cycle (empty ⇒ deadlock-free for every
     /// checked scenario).
     pub failures: Vec<CycleWitness>,
+    /// Why the lift could not drive the program, naming the input it
+    /// failed to load. A relation the lift could not build completely
+    /// proves nothing, so a set value rejects the proof.
+    pub lift_error: Option<String>,
 }
 
 impl DeadlockReport {
-    /// True if no checked scenario produced a cycle.
+    /// True if the lift drove the program on every query and no checked
+    /// scenario produced a cycle.
     pub fn verified(&self) -> bool {
-        self.failures.is_empty()
+        self.failures.is_empty() && self.lift_error.is_none()
     }
 
     /// One-paragraph human-readable summary.
     pub fn summary(&self) -> String {
-        if self.verified() {
+        if let Some(e) = &self.lift_error {
+            format!(
+                "{}: NOT VERIFIED on {} ({} VCs) — the lift could not drive the program: {e}",
+                self.program, self.topology, self.num_vcs
+            )
+        } else if self.verified() {
             format!(
                 "{}: deadlock-free on {} ({} VCs) — CDG acyclic for all {} fault scenarios",
                 self.program, self.topology, self.num_vcs, self.fault_sets_checked
@@ -114,6 +125,35 @@ fn default_input(t: Type) -> Value {
     }
 }
 
+/// Sets input `input` (if the program declares it) at `indices`; a value
+/// the program cannot hold is an error that names the input.
+fn load(
+    prog: &Program,
+    im: &mut InputMap,
+    input: Option<usize>,
+    indices: &[Value],
+    v: Value,
+) -> Result<(), String> {
+    let Some(i) = input else { return Ok(()) };
+    im.set_input(i, indices, v).map_err(|e| {
+        let idx: Vec<String> = indices.iter().map(|x| x.to_string()).collect();
+        format!("input `{}`({}) <- {v}: {e}", prog.inputs[i].name, idx.join(", "))
+    })
+}
+
+/// Clears `im` and defaults every input of `prog` to [`default_input`].
+fn defaulted_inputs(prog: &Program, im: &mut InputMap) {
+    im.clear();
+    for (i, decl) in prog.inputs.iter().enumerate() {
+        im.set_input_default(i, default_input(decl.elem)).expect("input is laid out");
+    }
+}
+
+/// Keeps the first lift error.
+fn note_error(slot: &RefCell<Option<String>>, e: String) {
+    slot.borrow_mut().get_or_insert(e);
+}
+
 // ---------------------------------------------------------------------------
 // mesh lift
 
@@ -124,30 +164,63 @@ fn default_input(t: Type) -> Value {
 /// flags).
 pub struct MeshProgramLift {
     mesh: Mesh2D,
-    prog: ftr_rules::Program,
-    entry: String,
+    compiled: Arc<CompiledProgram>,
+    slots: MeshLiftSlots,
     mode: MeshVcMode,
-    has_de: bool,
     machine: RefCell<Machine>,
+    inputs: RefCell<InputMap>,
+    /// The first input the lift failed to load.
+    error: RefCell<Option<String>>,
     #[allow(clippy::type_complexity)]
     memo: RefCell<HashMap<(u32, u32, u8, u8, bool, bool), Vec<u8>>>,
+}
+
+/// The names the mesh lift drives, resolved once.
+struct MeshLiftSlots {
+    xpos: Option<usize>,
+    ypos: Option<usize>,
+    usable: Option<usize>,
+    de_east: Option<usize>,
+    de_west: Option<usize>,
+    xdes: Option<usize>,
+    ydes: Option<usize>,
+    invc: Option<usize>,
+    free: Option<usize>,
+    linkok: Option<usize>,
+    out_queue: Option<usize>,
+    /// The entry rule base: the program's first (the rule-router
+    /// convention).
+    entry: Option<usize>,
 }
 
 impl MeshProgramLift {
     /// Creates the lift. The entry event is the program's first rule base
     /// (the rule-router convention).
-    pub fn new(compiled: CompiledProgram, mesh: Mesh2D, mode: MeshVcMode) -> Self {
-        let prog = compiled.prog.clone();
-        let entry =
-            prog.rulebases.first().map(|rb| rb.name.clone()).unwrap_or_else(|| "route_msg".into());
-        let has_de = prog.vars.iter().any(|v| v.name == "de_east");
+    pub fn new(compiled: impl Into<Arc<CompiledProgram>>, mesh: Mesh2D, mode: MeshVcMode) -> Self {
+        let compiled = compiled.into();
+        let prog = &compiled.prog;
+        let slots = MeshLiftSlots {
+            xpos: prog.var("xpos"),
+            ypos: prog.var("ypos"),
+            usable: prog.var("usable"),
+            de_east: prog.var("de_east"),
+            de_west: prog.var("de_west"),
+            xdes: prog.input("xdes"),
+            ydes: prog.input("ydes"),
+            invc: prog.input("invc"),
+            free: prog.input("free"),
+            linkok: prog.input("linkok"),
+            out_queue: prog.input("out_queue"),
+            entry: (!prog.rulebases.is_empty()).then_some(0),
+        };
         MeshProgramLift {
             mesh,
-            prog,
-            entry,
+            slots,
             mode,
-            has_de,
-            machine: RefCell::new(Machine::from_compiled(compiled)),
+            inputs: RefCell::new(InputMap::for_program(prog)),
+            machine: RefCell::new(Machine::from_compiled(Arc::clone(&compiled))),
+            compiled,
+            error: RefCell::new(None),
             memo: RefCell::new(HashMap::new()),
         }
     }
@@ -160,26 +233,23 @@ impl MeshProgramLift {
         }
     }
 
-    fn var_idx(&self, name: &str) -> Option<usize> {
-        self.prog.vars.iter().position(|v| v.name == name)
+    /// The first input the lift failed to load since the last call, if
+    /// any; the relation built meanwhile is incomplete.
+    pub fn take_error(&self) -> Option<String> {
+        self.error.borrow_mut().take()
     }
 
-    fn has_input(&self, name: &str) -> bool {
-        self.prog.inputs.iter().any(|i| i.name == name)
-    }
-
-    fn write_reg(&self, machine: &mut Machine, name: &str, v: Value) {
-        if let Some(vi) = self.var_idx(name) {
-            machine
-                .regs_mut()
-                .write(&self.prog, vi, &[], v)
-                .expect("lift register value fits its domain");
+    fn write_reg(machine: &mut Machine, reg: Option<usize>, v: Value) {
+        if let Some(vi) = reg {
+            machine.write_reg(vi, &[], v).expect("lift register value fits its domain");
         }
     }
 
     /// Every direction the program can return for this query, across all
     /// free-output patterns, queue-minimum positions, and (implicitly,
-    /// via the caller's enumeration) dead-end flags.
+    /// via the caller's enumeration) dead-end flags. An input the lift
+    /// cannot load is recorded (see [`MeshProgramLift::take_error`]) and
+    /// yields no directions.
     fn raw_dirs(
         &self,
         cur: NodeId,
@@ -193,9 +263,34 @@ impl MeshProgramLift {
         if let Some(hit) = self.memo.borrow().get(&key) {
             return hit.clone();
         }
+        match self.drive(cur, dst, invc, usable_mask, de_east, de_west) {
+            Ok(dirs) => {
+                self.memo.borrow_mut().insert(key, dirs.clone());
+                dirs
+            }
+            Err(e) => {
+                note_error(&self.error, e);
+                Vec::new()
+            }
+        }
+    }
+
+    fn drive(
+        &self,
+        cur: NodeId,
+        dst: NodeId,
+        invc: u8,
+        usable_mask: u8,
+        de_east: bool,
+        de_west: bool,
+    ) -> Result<Vec<u8>, String> {
+        let prog = &self.compiled.prog;
+        let s = &self.slots;
         let mut out: BTreeSet<u8> = BTreeSet::new();
         let mut machine = self.machine.borrow_mut();
+        let mut im = self.inputs.borrow_mut();
         let (dx, dy) = self.mesh.coords(dst);
+        let (cx, cy) = self.mesh.coords(cur);
 
         // free patterns: everything usable free, each usable direction
         // alone, and nothing free (the escalation path)
@@ -208,50 +303,32 @@ impl MeshProgramLift {
         for fp in free_patterns {
             // queue patterns: each direction as the unique argmin
             for qmin in 0..4u8 {
-                *machine.regs_mut() = RegFile::new(&self.prog);
-                self.write_reg(&mut machine, "xpos", Value::Int(self.mesh.coords(cur).0 as i64));
-                self.write_reg(&mut machine, "ypos", Value::Int(self.mesh.coords(cur).1 as i64));
-                if let Some(vi) = self.var_idx("usable") {
-                    let dom = self.prog.vars[vi].elem.domain();
+                *machine.regs_mut() = RegFile::new(prog);
+                Self::write_reg(&mut machine, s.xpos, Value::Int(cx as i64));
+                Self::write_reg(&mut machine, s.ypos, Value::Int(cy as i64));
+                if let Some(vi) = s.usable {
+                    let dom = prog.vars[vi].elem.domain();
                     machine
-                        .regs_mut()
-                        .write(&self.prog, vi, &[], Value::Set { dom, mask: usable_mask as u64 })
+                        .write_reg(vi, &[], Value::Set { dom, mask: usable_mask as u64 })
                         .expect("usable mask fits");
                 }
-                self.write_reg(&mut machine, "de_east", Value::Bool(de_east));
-                self.write_reg(&mut machine, "de_west", Value::Bool(de_west));
+                Self::write_reg(&mut machine, s.de_east, Value::Bool(de_east));
+                Self::write_reg(&mut machine, s.de_west, Value::Bool(de_west));
 
-                let mut im = InputMap::new();
-                for decl in &self.prog.inputs {
-                    im.set_default(&self.prog, &decl.name, default_input(decl.elem))
-                        .expect("default fits input domain");
-                }
-                im.set(&self.prog, "xdes", &[], Value::Int(dx as i64)).ok();
-                im.set(&self.prog, "ydes", &[], Value::Int(dy as i64)).ok();
-                if self.has_input("invc") {
-                    im.set(&self.prog, "invc", &[], Value::Int(invc as i64)).ok();
-                }
+                defaulted_inputs(prog, &mut im);
+                load(prog, &mut im, s.xdes, &[], Value::Int(dx as i64))?;
+                load(prog, &mut im, s.ydes, &[], Value::Int(dy as i64))?;
+                load(prog, &mut im, s.invc, &[], Value::Int(invc as i64))?;
                 for d in 0..4i64 {
                     let idx = [Value::Int(d)];
-                    if self.has_input("free") {
-                        im.set(&self.prog, "free", &idx, Value::Bool(fp & (1 << d) != 0)).ok();
-                    }
-                    if self.has_input("linkok") {
-                        im.set(
-                            &self.prog,
-                            "linkok",
-                            &idx,
-                            Value::Bool(usable_mask & (1 << d) != 0),
-                        )
-                        .ok();
-                    }
-                    if self.has_input("out_queue") {
-                        let q = if d == qmin as i64 { 0 } else { 9 };
-                        im.set(&self.prog, "out_queue", &idx, Value::Int(q)).ok();
-                    }
+                    load(prog, &mut im, s.free, &idx, Value::Bool(fp & (1 << d) != 0))?;
+                    load(prog, &mut im, s.linkok, &idx, Value::Bool(usable_mask & (1 << d) != 0))?;
+                    let q = if d == qmin as i64 { 0 } else { 9 };
+                    load(prog, &mut im, s.out_queue, &idx, Value::Int(q))?;
                 }
 
-                if let Ok(casc) = machine.fire_cascade(&self.entry, &[], &im) {
+                let Some(entry) = s.entry else { continue };
+                if let Ok(casc) = machine.fire_base(entry, &[], &*im) {
                     if let Some(Value::Int(d)) = casc.last_return() {
                         if (0..4).contains(&d) && usable_mask & (1 << d) != 0 {
                             out.insert(d as u8);
@@ -260,9 +337,7 @@ impl MeshProgramLift {
                 }
             }
         }
-        let dirs: Vec<u8> = out.into_iter().collect();
-        self.memo.borrow_mut().insert(key, dirs.clone());
-        dirs
+        Ok(out.into_iter().collect())
     }
 
     /// Directions the data path permits inside virtual network `vnet`
@@ -312,7 +387,7 @@ impl MeshProgramLift {
             let (dx, dy) = self.mesh.offset(cur, dst);
             // dead-end flags depend on global fault knowledge; enumerate
             // both values of each (conservative union)
-            let de_combos: &[(bool, bool)] = if self.has_de {
+            let de_combos: &[(bool, bool)] = if self.slots.de_east.is_some() {
                 &[(false, false), (true, false), (false, true), (true, true)]
             } else {
                 &[(false, false)]
@@ -379,23 +454,66 @@ impl MeshProgramLift {
 /// carrying the argmin result) into a routing relation.
 pub struct CubeProgramLift {
     cube: Hypercube,
-    prog: ftr_rules::Program,
+    compiled: Arc<CompiledProgram>,
+    slots: CubeLiftSlots,
     machine: RefCell<Machine>,
+    inputs: RefCell<InputMap>,
+    /// The first input the lift failed to load.
+    error: RefCell<Option<String>>,
     #[allow(clippy::type_complexity)]
     memo: RefCell<HashMap<(u32, u32, u8), Vec<(u8, u8)>>>,
+}
+
+/// The names the hypercube lift drives, resolved once.
+struct CubeLiftSlots {
+    diffup: Option<usize>,
+    diffdown: Option<usize>,
+    okdirs: Option<usize>,
+    cands: Option<usize>,
+    phase: Option<usize>,
+    misr: Option<usize>,
+    out_queue: Option<usize>,
+    freevc: Option<usize>,
+    chosen: Option<usize>,
+    decide_dir: Option<usize>,
+    decide_vc: Option<usize>,
 }
 
 impl CubeProgramLift {
     /// Creates the lift for a `d`-dimensional cube program (compile
     /// `ftr_algos::rules_src::route_c_source(d)` for a matching program).
-    pub fn new(compiled: CompiledProgram, cube: Hypercube) -> Self {
-        let prog = compiled.prog.clone();
+    pub fn new(compiled: impl Into<Arc<CompiledProgram>>, cube: Hypercube) -> Self {
+        let compiled = compiled.into();
+        let prog = &compiled.prog;
+        let base = |name: &str| prog.rulebase(name).map(|(i, _)| i);
+        let slots = CubeLiftSlots {
+            diffup: prog.input("diffup"),
+            diffdown: prog.input("diffdown"),
+            okdirs: prog.input("okdirs"),
+            cands: prog.input("cands"),
+            phase: prog.input("phase"),
+            misr: prog.input("misr"),
+            out_queue: prog.input("out_queue"),
+            freevc: prog.input("freevc"),
+            chosen: prog.var("chosen"),
+            decide_dir: base("decide_dir"),
+            decide_vc: base("decide_vc"),
+        };
         CubeProgramLift {
             cube,
-            prog,
-            machine: RefCell::new(Machine::from_compiled(compiled)),
+            slots,
+            inputs: RefCell::new(InputMap::for_program(prog)),
+            machine: RefCell::new(Machine::from_compiled(Arc::clone(&compiled))),
+            compiled,
+            error: RefCell::new(None),
             memo: RefCell::new(HashMap::new()),
         }
+    }
+
+    /// The first input the lift failed to load since the last call, if
+    /// any; the relation built meanwhile is incomplete.
+    pub fn take_error(&self) -> Option<String> {
+        self.error.borrow_mut().take()
     }
 
     fn dims_set(&self, mask: u64) -> Value {
@@ -403,8 +521,7 @@ impl CubeProgramLift {
     }
 
     fn chosen(&self, machine: &Machine) -> Option<usize> {
-        let vi = self.prog.vars.iter().position(|v| v.name == "chosen")?;
-        match machine.regs().read(&self.prog, vi, &[]) {
+        match machine.read_reg(self.slots.chosen?, &[]) {
             Ok(Value::Int(v)) => Some(v as usize),
             _ => None,
         }
@@ -412,45 +529,57 @@ impl CubeProgramLift {
 
     /// All (port, vc) pairs the two-step decision can produce for this
     /// query, across every free-channel pattern and queue-minimum
-    /// position.
+    /// position. An input the lift cannot load is recorded (see
+    /// [`CubeProgramLift::take_error`]) and yields no channels.
     fn raw_channels(&self, cur: NodeId, dst: NodeId, ok: u8) -> Vec<(u8, u8)> {
         let key = (cur.0, dst.0, ok);
         if let Some(hit) = self.memo.borrow().get(&key) {
             return hit.clone();
         }
+        match self.drive(cur, dst, ok) {
+            Ok(chans) => {
+                self.memo.borrow_mut().insert(key, chans.clone());
+                chans
+            }
+            Err(e) => {
+                note_error(&self.error, e);
+                Vec::new()
+            }
+        }
+    }
+
+    fn drive(&self, cur: NodeId, dst: NodeId, ok: u8) -> Result<Vec<(u8, u8)>, String> {
+        let prog = &self.compiled.prog;
+        let s = &self.slots;
         let dim = self.cube.dim() as usize;
         let mut machine = self.machine.borrow_mut();
+        let mut im = self.inputs.borrow_mut();
         let diff = self.cube.diff(cur, dst) as u64;
         let up = diff & !(cur.0 as u64);
         let down = diff & cur.0 as u64;
 
-        let mut im = InputMap::new();
-        for decl in &self.prog.inputs {
-            im.set_default(&self.prog, &decl.name, default_input(decl.elem))
-                .expect("default fits input domain");
-        }
-        im.set(&self.prog, "diffup", &[], self.dims_set(up)).ok();
-        im.set(&self.prog, "diffdown", &[], self.dims_set(down)).ok();
-        im.set(&self.prog, "okdirs", &[], self.dims_set(ok as u64)).ok();
+        defaulted_inputs(prog, &mut im);
+        load(prog, &mut im, s.diffup, &[], self.dims_set(up))?;
+        load(prog, &mut im, s.diffdown, &[], self.dims_set(down))?;
+        load(prog, &mut im, s.okdirs, &[], self.dims_set(ok as u64))?;
 
         // step 1: decide_dir is deterministic in the difference sets
-        *machine.regs_mut() = RegFile::new(&self.prog);
-        let cands = match machine.fire_cascade("decide_dir", &[], &im) {
-            Ok(casc) => match casc.last_return() {
+        *machine.regs_mut() = RegFile::new(prog);
+        let cands = match s.decide_dir.map(|b| machine.fire_base(b, &[], &*im)) {
+            Some(Ok(casc)) => match casc.last_return() {
                 Some(Value::Set { mask, .. }) => mask,
                 _ => 0,
             },
-            Err(_) => 0,
+            _ => 0,
         };
         if cands == 0 {
-            self.memo.borrow_mut().insert(key, Vec::new());
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let misr = cands & (up | down) == 0;
         let phase: i64 = if up != 0 { 0 } else { 1 };
-        im.set(&self.prog, "cands", &[], self.dims_set(cands)).ok();
-        im.set(&self.prog, "phase", &[], Value::Int(phase)).ok();
-        im.set(&self.prog, "misr", &[], Value::Bool(misr)).ok();
+        load(prog, &mut im, s.cands, &[], self.dims_set(cands))?;
+        load(prog, &mut im, s.phase, &[], Value::Int(phase))?;
+        load(prog, &mut im, s.misr, &[], Value::Bool(misr))?;
 
         // step 2: decide_vc across free-channel-class singletons × argmin
         // positions (one per candidate output)
@@ -460,20 +589,16 @@ impl CubeProgramLift {
                 continue;
             }
             for d in 0..dim {
-                im.set(
-                    &self.prog,
-                    "out_queue",
-                    &[Value::Int(d as i64)],
-                    Value::Int(if d == qmin { 0 } else { 9 }),
-                )
-                .ok();
+                let q = Value::Int(if d == qmin { 0 } else { 9 });
+                load(prog, &mut im, s.out_queue, &[Value::Int(d as i64)], q)?;
             }
             for fv in 0..5i64 {
                 for v in 0..5i64 {
-                    im.set(&self.prog, "freevc", &[Value::Int(v)], Value::Bool(v == fv)).ok();
+                    load(prog, &mut im, s.freevc, &[Value::Int(v)], Value::Bool(v == fv))?;
                 }
-                *machine.regs_mut() = RegFile::new(&self.prog);
-                let Ok(casc) = machine.fire_cascade("decide_vc", &[], &im) else { continue };
+                *machine.regs_mut() = RegFile::new(prog);
+                let Some(decide_vc) = s.decide_vc else { continue };
+                let Ok(casc) = machine.fire_base(decide_vc, &[], &*im) else { continue };
                 let Some(Value::Int(vc)) = casc.last_return() else { continue };
                 if !(0..5).contains(&vc) {
                     continue; // 7 = wait
@@ -485,9 +610,7 @@ impl CubeProgramLift {
                 }
             }
         }
-        let chans: Vec<(u8, u8)> = out.into_iter().collect();
-        self.memo.borrow_mut().insert(key, chans.clone());
-        chans
+        Ok(out.into_iter().collect())
     }
 
     /// The full routing relation under a fault set.
@@ -598,6 +721,7 @@ pub fn verify_mesh(
         num_vcs: lift.num_vcs(),
         fault_sets_checked: 0,
         failures: Vec::new(),
+        lift_error: None,
     };
     for set in &sets {
         let mut faults = FaultSet::new();
@@ -607,6 +731,10 @@ pub fn verify_mesh(
         let relation = lift.relation(&faults);
         let g = ChannelDependencyGraph::build(&mesh, &faults, lift.num_vcs(), &relation);
         report.fault_sets_checked += 1;
+        if let Some(e) = lift.take_error() {
+            report.lift_error = Some(format!("{e} [{}]", describe_faults(&mesh, set)));
+            break;
+        }
         if let Some(cycle) = g.find_cycle() {
             report.failures.push(CycleWitness { faults: describe_faults(&mesh, set), cycle });
         }
@@ -632,6 +760,7 @@ pub fn verify_cube(
         num_vcs: 5,
         fault_sets_checked: 0,
         failures: Vec::new(),
+        lift_error: None,
     };
     for set in &sets {
         let mut faults = FaultSet::new();
@@ -641,6 +770,10 @@ pub fn verify_cube(
         let relation = lift.relation(&faults);
         let g = ChannelDependencyGraph::build(&cube, &faults, 5, &relation);
         report.fault_sets_checked += 1;
+        if let Some(e) = lift.take_error() {
+            report.lift_error = Some(format!("{e} [{}]", describe_faults(&cube, set)));
+            break;
+        }
         if let Some(cycle) = g.find_cycle() {
             report.failures.push(CycleWitness { faults: describe_faults(&cube, set), cycle });
         }

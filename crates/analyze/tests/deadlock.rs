@@ -76,3 +76,46 @@ fn route_c_is_deadlock_free_on_a_4_cube() {
     assert!(report.verified(), "{}", report.summary());
     assert_eq!(report.num_vcs, 5);
 }
+
+/// The lift must fail closed: a program whose `free[dirs]` domain is
+/// narrower than the mesh degree cannot take the lift's `free(3)`, so
+/// its relation would be built from a default instead of the driven
+/// value. The proof is rejected and names the input.
+#[test]
+fn an_input_the_lift_cannot_load_rejects_the_proof() {
+    let narrow = "CONSTANT dirs = 0 TO 2\n\
+         VARIABLE xpos IN 0 TO 7\n\
+         VARIABLE ypos IN 0 TO 7\n\
+         INPUT xdes IN 0 TO 7\n\
+         INPUT ydes IN 0 TO 7\n\
+         INPUT free[dirs] IN bool\n\
+         ON route_msg() RETURNS 0 TO 15\n\
+           IF xpos = xdes AND ypos = ydes THEN RETURN(15);\n\
+           IF xpos < xdes AND free(0) THEN RETURN(0);\n\
+           IF xdes < xpos AND free(1) THEN RETURN(1);\n\
+           IF ypos < ydes AND free(2) THEN RETURN(2);\n\
+           IF TRUE THEN RETURN(14);\n\
+         END route_msg;";
+    let report = verify_mesh("narrow", &compiled(narrow), 3, 3, MeshVcMode::SingleVc, 0, 16);
+    assert!(!report.verified(), "certified a relation built from unloaded inputs");
+    assert!(report.failures.is_empty(), "rejected for the load, not for a cycle");
+    let err = report.lift_error.as_deref().unwrap_or_default();
+    assert!(err.contains("`free`(3)"), "{err}");
+    assert!(report.summary().contains("NOT VERIFIED"), "{}", report.summary());
+
+    // the same program over a full direction domain verifies
+    let full = narrow.replace("0 TO 2", "0 TO 3");
+    let report = verify_mesh("full", &compiled(&full), 3, 3, MeshVcMode::SingleVc, 0, 16);
+    assert!(report.verified(), "{}", report.summary());
+}
+
+/// The hypercube lift fails closed too: a 4-cube program driven on a
+/// 6-cube cannot take `out_queue(4)`.
+#[test]
+fn a_cube_program_smaller_than_the_cube_is_rejected() {
+    let c = compiled(&ftr_algos::rules_src::route_c_source(4));
+    let report = verify_cube("route_c_d4", &c, 5, 0, 16);
+    assert!(!report.verified(), "{}", report.summary());
+    let err = report.lift_error.as_deref().unwrap_or_default();
+    assert!(err.contains("`out_queue`(4)"), "{err}");
+}

@@ -14,7 +14,7 @@
 //! needs two steps" on real traffic.
 
 use crate::RouterConfiguration;
-use ftr_rules::{Domain, InputMap, Machine, Value};
+use ftr_rules::{Domain, InputMap, Machine, Program, Value};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{
     ControlMsg, Decision, NodeController, RouterView, RoutingAlgorithm, Verdict,
@@ -32,6 +32,7 @@ const STATE_FAULTY: u32 = 4;
 pub struct CubeRuleRouter {
     config: Arc<RouterConfiguration>,
     cube: Hypercube,
+    slots: CubeSlots,
 }
 
 impl CubeRuleRouter {
@@ -39,7 +40,11 @@ impl CubeRuleRouter {
     /// `ftr_algos::rules_src::route_c_source(dim)` for the matching
     /// program).
     pub fn new(config: RouterConfiguration, cube: Hypercube) -> Self {
-        CubeRuleRouter { config: Arc::new(config), cube }
+        CubeRuleRouter {
+            slots: CubeSlots::resolve(&config.compiled.prog),
+            config: Arc::new(config),
+            cube,
+        }
     }
 }
 
@@ -58,13 +63,11 @@ impl RoutingAlgorithm for CubeRuleRouter {
 
     fn controller(&self, _topo: &dyn Topology, node: NodeId) -> Box<dyn NodeController> {
         let _ = node; // ROUTE_C state is address-free: the machine needs no coordinates
-        let mut machine = Machine::from_compiled(self.config.compiled.clone());
-        if let Some(w) = &self.config.step_weights {
-            machine.set_step_weights(std::sync::Arc::clone(w));
-        }
-        self.config.install_backend(&mut machine);
+        let machine = self.config.machine();
         Box::new(CubeRuleController {
+            inputs: InputMap::for_program(machine.program()),
             machine,
+            slots: self.slots,
             cube: self.cube.clone(),
             link_dead: vec![false; self.cube.dim() as usize],
             hop_limit: 4 * self.cube.num_nodes() as u32 + 16,
@@ -72,12 +75,81 @@ impl RoutingAlgorithm for CubeRuleRouter {
     }
 }
 
+/// Every name the ROUTE_C message interface uses, resolved against the
+/// program once per configuration: inputs, registers and rule bases.
+#[derive(Clone, Copy, Debug)]
+struct CubeSlots {
+    diffup: Option<usize>,
+    diffdown: Option<usize>,
+    okdirs: Option<usize>,
+    out_queue: Option<usize>,
+    cands: Option<usize>,
+    phase: Option<usize>,
+    misr: Option<usize>,
+    freevc: Option<usize>,
+    new_state: Option<usize>,
+    neighb_state: Option<usize>,
+    chosen: Option<usize>,
+    state: Option<usize>,
+    decide_dir: Option<usize>,
+    decide_vc: Option<usize>,
+    update_state: Option<usize>,
+}
+
+impl CubeSlots {
+    fn resolve(prog: &Program) -> Self {
+        let base = |name: &str| prog.rulebase(name).map(|(i, _)| i);
+        CubeSlots {
+            diffup: prog.input("diffup"),
+            diffdown: prog.input("diffdown"),
+            okdirs: prog.input("okdirs"),
+            out_queue: prog.input("out_queue"),
+            cands: prog.input("cands"),
+            phase: prog.input("phase"),
+            misr: prog.input("misr"),
+            freevc: prog.input("freevc"),
+            new_state: prog.input("new_state"),
+            neighb_state: prog.var("neighb_state"),
+            chosen: prog.var("chosen"),
+            state: prog.var("state"),
+            decide_dir: base("decide_dir"),
+            decide_vc: base("decide_vc"),
+            update_state: base("update_state"),
+        }
+    }
+}
+
 struct CubeRuleController {
     machine: Machine,
+    /// Reused for every decision and control event, cleared first.
+    inputs: InputMap,
+    slots: CubeSlots,
     cube: Hypercube,
     /// Local link status shadow (the information unit's view).
     link_dead: Vec<bool>,
     hop_limit: u32,
+}
+
+/// Sets a cell of an input the program may lack; like the message
+/// interface always has, a value the program cannot hold is dropped (the
+/// rule that would read it then fails instead).
+fn offer(im: &mut InputMap, input: Option<usize>, indices: &[Value], v: Value) {
+    if let Some(i) = input {
+        let _ = im.set_input(i, indices, v);
+    }
+}
+
+/// Fires `base` and returns the cascade's last RETURN value and its
+/// steps; a base the program lacks fires nothing, like an event without
+/// a rule base.
+fn fire(
+    machine: &mut Machine,
+    base: Option<usize>,
+    inputs: &InputMap,
+) -> ftr_rules::Result<(Option<Value>, u32)> {
+    let Some(b) = base else { return Ok((None, 0)) };
+    let casc = machine.fire_base(b, &[], inputs)?;
+    Ok((casc.last_return(), casc.steps))
 }
 
 impl CubeRuleController {
@@ -91,13 +163,8 @@ impl CubeRuleController {
 
     /// Reads `neighb_state(d)` from the program's registers.
     fn neighb_state(&self, d: usize) -> u32 {
-        let prog = self.machine.program();
-        let vi = prog
-            .vars
-            .iter()
-            .position(|v| v.name == "neighb_state")
-            .expect("route_c program has neighb_state");
-        match self.machine.regs().read(prog, vi, &[Value::Int(d as i64)]) {
+        let vi = self.slots.neighb_state.expect("route_c program has neighb_state");
+        match self.machine.read_reg(vi, &[Value::Int(d as i64)]) {
             Ok(Value::Sym { idx, .. }) => idx,
             _ => 0,
         }
@@ -105,10 +172,8 @@ impl CubeRuleController {
 
     /// Reads the `chosen` register (argmin result of decide_vc).
     fn chosen(&self) -> usize {
-        let prog = self.machine.program();
-        let vi =
-            prog.vars.iter().position(|v| v.name == "chosen").expect("route_c program has chosen");
-        match self.machine.regs().read(prog, vi, &[]) {
+        let vi = self.slots.chosen.expect("route_c program has chosen");
+        match self.machine.read_reg(vi, &[]) {
             Ok(Value::Int(v)) => v as usize,
             _ => 0,
         }
@@ -117,24 +182,17 @@ impl CubeRuleController {
     /// Drives `update_state(dir)` with a reported neighbour state; converts
     /// generated `send_newmessage` events into control messages.
     fn drive_update(&mut self, dir: PortId, reported: u32) -> Vec<ControlMsg> {
-        let prog = self.machine.program().clone();
-        let mut im = InputMap::new();
+        let Some(new_state) = self.slots.new_state else { return Vec::new() };
+        self.inputs.clear();
         // the rule base only reads new_state(dir); default the rest
-        im.set_default(&prog, "new_state", Value::Sym { ty: 0, idx: 0 }).ok();
-        if im
-            .set(
-                &prog,
-                "new_state",
-                &[Value::Int(dir.idx() as i64)],
-                Value::Sym { ty: 0, idx: reported },
-            )
-            .is_err()
+        let _ = self.inputs.set_input_default(new_state, Value::Sym { ty: 0, idx: 0 });
+        let dir_v = Value::Int(dir.idx() as i64);
+        if self.inputs.set_input(new_state, &[dir_v], Value::Sym { ty: 0, idx: reported }).is_err()
         {
             return Vec::new();
         }
-        let Ok(casc) =
-            self.machine.fire_cascade("update_state", &[Value::Int(dir.idx() as i64)], &im)
-        else {
+        let Some(update_state) = self.slots.update_state else { return Vec::new() };
+        let Ok(casc) = self.machine.fire_base(update_state, &[dir_v], &self.inputs) else {
             return Vec::new();
         };
         casc.host_events
@@ -168,7 +226,6 @@ impl NodeController for CubeRuleController {
             return Decision::new(Verdict::Deliver, 2);
         }
         let dim = self.cube.dim() as usize;
-        let prog = self.machine.program().clone();
 
         // --- message interface: difference and usability sets
         let diff = self.cube.diff(view.node, h.dst) as u64;
@@ -183,47 +240,48 @@ impl NodeController for CubeRuleController {
             }
         }
 
-        let mut im = InputMap::new();
-        let _ = im.set(&prog, "diffup", &[], self.set_of(up));
-        let _ = im.set(&prog, "diffdown", &[], self.set_of(down));
-        let _ = im.set(&prog, "okdirs", &[], self.set_of(ok));
+        let s = self.slots;
+        let (up_set, down_set, ok_set) = (self.set_of(up), self.set_of(down), self.set_of(ok));
+        let im = &mut self.inputs;
+        im.clear();
+        offer(im, s.diffup, &[], up_set);
+        offer(im, s.diffdown, &[], down_set);
+        offer(im, s.okdirs, &[], ok_set);
         for d in 0..dim {
-            let _ = im.set(
-                &prog,
-                "out_queue",
-                &[Value::Int(d as i64)],
-                Value::Int(view.out_load[d].min(255) as i64),
-            );
+            let q = Value::Int(view.out_load[d].min(255) as i64);
+            offer(im, s.out_queue, &[Value::Int(d as i64)], q);
         }
 
         // --- step 1: decide_dir
-        let Ok(casc1) = self.machine.fire_cascade("decide_dir", &[], &im) else {
+        let Ok((ret1, steps1)) = fire(&mut self.machine, s.decide_dir, &self.inputs) else {
             return Decision::new(Verdict::Unroutable, 1);
         };
-        let Some(Value::Set { mask: cands, .. }) = casc1.last_return() else {
-            return Decision::new(Verdict::Unroutable, casc1.steps.max(1));
+        let Some(Value::Set { mask: cands, .. }) = ret1 else {
+            return Decision::new(Verdict::Unroutable, steps1.max(1));
         };
         if cands == 0 {
-            return Decision::new(Verdict::Unroutable, casc1.steps.max(1));
+            return Decision::new(Verdict::Unroutable, steps1.max(1));
         }
         let misr = cands & (up | down) == 0;
         let phase: i64 = if up != 0 { 0 } else { 1 };
 
         // --- step 2: decide_vc (channel + adaptivity argmin)
-        let _ = im.set(&prog, "cands", &[], self.set_of(cands));
-        let _ = im.set(&prog, "phase", &[], Value::Int(phase));
-        let _ = im.set(&prog, "misr", &[], Value::Bool(misr));
+        let cands_set = self.set_of(cands);
+        let im = &mut self.inputs;
+        offer(im, s.cands, &[], cands_set);
+        offer(im, s.phase, &[], Value::Int(phase));
+        offer(im, s.misr, &[], Value::Bool(misr));
         for v in 0..5usize {
             // a channel class is usable if any candidate output has it free
             let free = (0..dim)
                 .any(|d| cands & (1 << d) != 0 && view.link_alive[d] && view.out_free[d][v]);
-            let _ = im.set(&prog, "freevc", &[Value::Int(v as i64)], Value::Bool(free));
+            offer(im, s.freevc, &[Value::Int(v as i64)], Value::Bool(free));
         }
-        let Ok(casc2) = self.machine.fire_cascade("decide_vc", &[], &im) else {
-            return Decision::new(Verdict::Unroutable, casc1.steps.max(1) + 1);
+        let Ok((ret2, steps2)) = fire(&mut self.machine, s.decide_vc, &self.inputs) else {
+            return Decision::new(Verdict::Unroutable, steps1.max(1) + 1);
         };
-        let steps = casc1.steps + casc2.steps;
-        let vc = match casc2.last_return() {
+        let steps = steps1 + steps2;
+        let vc = match ret2 {
             Some(Value::Int(v)) if (0..5).contains(&v) => v as usize,
             _ => return Decision::new(Verdict::Wait, steps), // 7 = wait
         };
@@ -303,9 +361,8 @@ impl NodeController for CubeRuleController {
     }
 
     fn state_word(&self) -> i64 {
-        let prog = self.machine.program();
-        let vi = prog.vars.iter().position(|v| v.name == "state").expect("state register");
-        match self.machine.regs().read(prog, vi, &[]) {
+        let vi = self.slots.state.expect("state register");
+        match self.machine.read_reg(vi, &[]) {
             Ok(Value::Sym { idx, .. }) => idx as i64,
             _ => 0,
         }

@@ -10,36 +10,49 @@ use ftr_rules::{InputMap, Program, Result, Value};
 use ftr_sim::routing::RouterView;
 use ftr_topo::VcId;
 
-/// Loads the per-decision link information into `im`.
-///
-/// * `free(d)` — output channel `d` is allocatable on virtual channel `vc`
-///   (busy/credit state of the data path);
-/// * `linkok(d)` — the physical link behind `d` is alive;
-/// * `out_queue(d)` — data still assigned to output `d` (the adaptivity
-///   criterion), clamped to the input's domain.
-pub fn load_link_info(
-    prog: &Program,
-    im: &mut InputMap,
-    view: &RouterView<'_>,
-    vc: VcId,
-) -> Result<()> {
-    let degree = view.link_alive.len();
-    let has = |name: &str| prog.inputs.iter().any(|i| i.name == name);
-    for d in 0..degree {
-        let idx = [Value::Int(d as i64)];
-        if has("free") {
-            let f = view.link_alive[d] && view.out_free[d][vc.idx()];
-            im.set(prog, "free", &idx, Value::Bool(f))?;
-        }
-        if has("linkok") {
-            im.set(prog, "linkok", &idx, Value::Bool(view.link_alive[d]))?;
-        }
-        if has("out_queue") {
-            let q = view.out_load[d].min(255) as i64;
-            im.set(prog, "out_queue", &idx, Value::Int(q))?;
+/// The link-information inputs a program declares, resolved once when a
+/// node's controller is built.
+#[derive(Clone, Copy, Debug)]
+pub struct LinkInputs {
+    free: Option<usize>,
+    linkok: Option<usize>,
+    out_queue: Option<usize>,
+}
+
+impl LinkInputs {
+    /// Resolves `free`, `linkok` and `out_queue` against `prog`.
+    pub fn resolve(prog: &Program) -> Self {
+        LinkInputs {
+            free: prog.input("free"),
+            linkok: prog.input("linkok"),
+            out_queue: prog.input("out_queue"),
         }
     }
-    Ok(())
+
+    /// Loads the per-decision link information into `im`.
+    ///
+    /// * `free(d)` — output channel `d` is allocatable on virtual channel
+    ///   `vc` (busy/credit state of the data path);
+    /// * `linkok(d)` — the physical link behind `d` is alive;
+    /// * `out_queue(d)` — data still assigned to output `d` (the adaptivity
+    ///   criterion), clamped to the input's domain.
+    pub fn load(&self, im: &mut InputMap, view: &RouterView<'_>, vc: VcId) -> Result<()> {
+        for d in 0..view.link_alive.len() {
+            let idx = [Value::Int(d as i64)];
+            if let Some(i) = self.free {
+                let f = view.link_alive[d] && view.out_free[d][vc.idx()];
+                im.set_input(i, &idx, Value::Bool(f))?;
+            }
+            if let Some(i) = self.linkok {
+                im.set_input(i, &idx, Value::Bool(view.link_alive[d]))?;
+            }
+            if let Some(i) = self.out_queue {
+                let q = view.out_load[d].min(255) as i64;
+                im.set_input(i, &idx, Value::Int(q))?;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -64,8 +77,8 @@ mod tests {
             out_load: &out_load,
             link_alive: &link_alive,
         };
-        let mut im = InputMap::new();
-        load_link_info(&prog, &mut im, &view, VcId(0)).unwrap();
+        let mut im = InputMap::for_program(&prog);
+        LinkInputs::resolve(&prog).load(&mut im, &view, VcId(0)).unwrap();
         // free(2) is false because the link is dead even though the VC is free
         assert_eq!(im.read_input(&prog, 0, &[Value::Int(2)]).unwrap(), Value::Bool(false));
         assert_eq!(im.read_input(&prog, 0, &[Value::Int(0)]).unwrap(), Value::Bool(true));

@@ -41,8 +41,9 @@ use std::sync::Arc;
 pub struct RouterConfiguration {
     /// Configuration name.
     pub name: String,
-    /// Compiled program (tables + conclusion code).
-    pub compiled: CompiledProgram,
+    /// Compiled program (tables + conclusion code), shared by every node
+    /// machine built from this configuration.
+    pub compiled: Arc<CompiledProgram>,
     /// Hardware cost report (Table 1/2 shape).
     pub cost: ProgramCost,
     /// Modeled per-rule decision latencies, installed on every node
@@ -71,7 +72,7 @@ impl RouterConfiguration {
         let cost = cost::analyze(&compiled.prog, &CompileOptions::default())?;
         RouterConfiguration {
             name: name.to_string(),
-            compiled,
+            compiled: Arc::new(compiled),
             cost,
             step_weights: None,
             optimized: false,
@@ -103,13 +104,19 @@ impl RouterConfiguration {
         Ok(self)
     }
 
-    /// Applies this configuration's backend choice to a node machine.
-    pub fn install_backend(&self, machine: &mut Machine) {
+    /// A node machine on the shared program, with this configuration's
+    /// step weights and backend installed.
+    pub fn machine(&self) -> Machine {
+        let mut machine = Machine::from_compiled(Arc::clone(&self.compiled));
+        if let Some(w) = &self.step_weights {
+            machine.set_step_weights(Arc::clone(w));
+        }
         if let Some(vm) = &self.bytecode {
             machine
                 .set_bytecode(Arc::clone(vm))
                 .expect("bytecode was validated when the configuration was built");
         }
+        machine
     }
 }
 
@@ -121,7 +128,7 @@ pub fn configure(name: &str, src: &str) -> Result<RouterConfiguration> {
     let cost = cost::analyze(&prog, &opts)?;
     RouterConfiguration {
         name: name.to_string(),
-        compiled,
+        compiled: Arc::new(compiled),
         cost,
         step_weights: None,
         optimized: false,

@@ -18,9 +18,9 @@
 //! overhead the paper measures (1 step for XY, up to 3 for a NAFTA-style
 //! escalation chain).
 
-use crate::info_unit::load_link_info;
+use crate::info_unit::LinkInputs;
 use crate::RouterConfiguration;
-use ftr_rules::{InputMap, InterpProbe, Machine, Value};
+use ftr_rules::{InputMap, InterpProbe, Machine, Program, Value};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm, Verdict};
 use ftr_topo::{Mesh2D, NodeId, PortId, Topology, VcId};
@@ -35,51 +35,67 @@ pub const RET_DELIVER: i64 = 15;
 
 /// The message interface for 2-D mesh programs: loads node coordinates
 /// into the `xpos`/`ypos` registers at configuration time and header
-/// coordinates into the `xdes`/`ydes` inputs per decision.
-#[derive(Clone)]
+/// coordinates into the `xdes`/`ydes` inputs per decision. Every name it
+/// uses — registers, inputs and the entry rule base — is resolved against
+/// the program once, when the interface is built.
+#[derive(Clone, Debug)]
 pub struct MeshInterface {
     mesh: Mesh2D,
+    xpos: Option<usize>,
+    ypos: Option<usize>,
+    xdes: Option<usize>,
+    ydes: Option<usize>,
+    invc: Option<usize>,
+    misrouted: Option<usize>,
+    link: LinkInputs,
+    /// The rule base fired per decision: the program's first.
+    entry: Option<usize>,
 }
 
 impl MeshInterface {
-    /// Creates the interface for a mesh.
-    pub fn new(mesh: Mesh2D) -> Self {
-        MeshInterface { mesh }
+    /// Creates the interface for `prog` on a mesh.
+    pub fn new(mesh: Mesh2D, prog: &Program) -> Self {
+        MeshInterface {
+            mesh,
+            xpos: prog.var("xpos"),
+            ypos: prog.var("ypos"),
+            xdes: prog.input("xdes"),
+            ydes: prog.input("ydes"),
+            invc: prog.input("invc"),
+            misrouted: prog.input("misrouted"),
+            link: LinkInputs::resolve(prog),
+            entry: (!prog.rulebases.is_empty()).then_some(0),
+        }
     }
 
     fn init_node(&self, m: &mut Machine, node: NodeId) {
         let (x, y) = self.mesh.coords(node);
-        let prog = m.program().clone();
-        for (name, v) in [("xpos", x), ("ypos", y)] {
-            if let Some(i) = prog.vars.iter().position(|d| d.name == name) {
-                m.regs_mut()
-                    .write(&prog, i, &[], Value::Int(v as i64))
-                    .expect("coordinate fits register domain");
+        for (reg, v) in [(self.xpos, x), (self.ypos, y)] {
+            if let Some(i) = reg {
+                m.write_reg(i, &[], Value::Int(v as i64)).expect("coordinate fits register domain");
             }
         }
     }
 
-    fn load_header(
+    /// Loads link information and header fields for one decision.
+    fn load(
         &self,
-        m: &Machine,
         im: &mut InputMap,
+        view: &RouterView<'_>,
         header: &Header,
         in_vc: VcId,
     ) -> ftr_rules::Result<()> {
-        let prog = m.program();
+        self.link.load(im, view, in_vc)?;
         let (dx, dy) = self.mesh.coords(header.dst);
-        let has = |n: &str| prog.inputs.iter().any(|i| i.name == n);
-        if has("xdes") {
-            im.set(prog, "xdes", &[], Value::Int(dx as i64))?;
-        }
-        if has("ydes") {
-            im.set(prog, "ydes", &[], Value::Int(dy as i64))?;
-        }
-        if has("invc") {
-            im.set(prog, "invc", &[], Value::Int(in_vc.idx() as i64))?;
-        }
-        if has("misrouted") {
-            im.set(prog, "misrouted", &[], Value::Bool(header.misrouted))?;
+        for (input, v) in [
+            (self.xdes, Value::Int(dx as i64)),
+            (self.ydes, Value::Int(dy as i64)),
+            (self.invc, Value::Int(in_vc.idx() as i64)),
+            (self.misrouted, Value::Bool(header.misrouted)),
+        ] {
+            if let Some(i) = input {
+                im.set_input(i, &[], v)?;
+            }
         }
         Ok(())
     }
@@ -99,8 +115,8 @@ impl RuleRouter {
     /// through the `invc` input).
     pub fn new(config: RouterConfiguration, mesh: Mesh2D, vcs: usize) -> Self {
         RuleRouter {
+            interface: MeshInterface::new(mesh, &config.compiled.prog),
             config: Arc::new(config),
-            interface: MeshInterface::new(mesh),
             vcs,
             probe: None,
         }
@@ -134,34 +150,24 @@ impl RoutingAlgorithm for RuleRouter {
     }
 
     fn controller(&self, _topo: &dyn Topology, node: NodeId) -> Box<dyn NodeController> {
-        let mut machine = Machine::from_compiled(self.config.compiled.clone());
+        let mut machine = self.config.machine();
         if let Some(probe) = &self.probe {
             machine.set_probe(Arc::clone(probe));
         }
-        if let Some(w) = &self.config.step_weights {
-            machine.set_step_weights(Arc::clone(w));
-        }
-        self.config.install_backend(&mut machine);
         self.interface.init_node(&mut machine, node);
         Box::new(RuleNodeController {
+            inputs: InputMap::for_program(machine.program()),
             machine,
             interface: self.interface.clone(),
-            entry: self
-                .config
-                .compiled
-                .prog
-                .rulebases
-                .first()
-                .map(|rb| rb.name.clone())
-                .unwrap_or_else(|| "route_msg".into()),
         })
     }
 }
 
 struct RuleNodeController {
     machine: Machine,
+    /// Reused for every decision, cleared first.
+    inputs: InputMap,
     interface: MeshInterface,
-    entry: String,
 }
 
 impl NodeController for RuleNodeController {
@@ -172,15 +178,15 @@ impl NodeController for RuleNodeController {
         _in_port: Option<PortId>,
         in_vc: VcId,
     ) -> Decision {
-        let mut im = InputMap::new();
-        let prog = self.machine.program();
-        if load_link_info(prog, &mut im, view, in_vc).is_err()
-            || self.interface.load_header(&self.machine, &mut im, h, in_vc).is_err()
-        {
+        self.inputs.clear();
+        if self.interface.load(&mut self.inputs, view, h, in_vc).is_err() {
             return Decision::new(Verdict::Unroutable, 1);
         }
-        let entry = self.entry.clone();
-        let casc = match self.machine.fire_cascade(&entry, &[], &im) {
+        // a program without rule bases fires nothing and so waits
+        let Some(entry) = self.interface.entry else {
+            return Decision::new(Verdict::Wait, 1);
+        };
+        let casc = match self.machine.fire_base(entry, &[], &self.inputs) {
             Ok(c) => c,
             Err(_) => return Decision::new(Verdict::Unroutable, 1),
         };

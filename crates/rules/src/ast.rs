@@ -321,6 +321,17 @@ impl Program {
         self.rulebases.iter().enumerate().find(|(_, rb)| rb.name == name)
     }
 
+    /// Index of the input declared as `name` (the handle the hosts
+    /// resolve once, at configuration time).
+    pub fn input(&self, name: &str) -> Option<usize> {
+        self.inputs.iter().position(|d| d.name == name)
+    }
+
+    /// Index of the register declared as `name`.
+    pub fn var(&self, name: &str) -> Option<usize> {
+        self.vars.iter().position(|d| d.name == name)
+    }
+
     /// Resolves a symbol name to its value, searching all symbol types.
     pub fn symbol_value(&self, name: &str) -> Option<Value> {
         for (t, st) in self.sym_types.iter().enumerate() {

@@ -25,7 +25,7 @@
 
 use crate::ast::*;
 use crate::error::{Result, RuleError};
-use crate::interp::{CompiledProgram, CompiledRuleBase};
+use crate::interp::{CompiledProgram, CompiledRuleBase, EmitTarget};
 use crate::value::{ceil_log2, Domain, Value};
 use std::collections::HashMap;
 use std::num::NonZeroU16;
@@ -619,6 +619,19 @@ pub fn compile_rulebase(
         warnings,
         rule_applicable,
         premises: expanded,
+        emits: rb
+            .rules
+            .iter()
+            .map(|r| {
+                crate::eval::emit_names(&r.conclusion)
+                    .into_iter()
+                    .map(|event| EmitTarget {
+                        event: event.to_string(),
+                        base: prog.rulebase(event).map(|(i, _)| i),
+                    })
+                    .collect()
+            })
+            .collect(),
     })
 }
 

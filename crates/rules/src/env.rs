@@ -1,9 +1,8 @@
 //! Execution environment: register file and input providers.
 
-use crate::ast::{InputDecl, Program};
+use crate::ast::Program;
 use crate::error::{Result, RuleError};
-use crate::value::Value;
-use std::collections::HashMap;
+use crate::value::{Domain, Type, Value};
 
 /// The register file holding all declared `VARIABLE`s of a program
 /// (the paper's "registers ... updated by using arithmetic or logical
@@ -29,18 +28,9 @@ impl RegFile {
         RegFile { slots }
     }
 
-    /// Flattened cell index from per-dimension ordinals.
-    fn flat(prog: &Program, var: usize, ordinals: &[u64]) -> usize {
-        let ss = prog.sym_sizes();
-        let mut idx = 0u64;
-        for (ord, dom) in ordinals.iter().zip(&prog.vars[var].index_domains) {
-            idx = idx * dom.size(&ss) + ord;
-        }
-        idx as usize
-    }
-
-    /// Converts index values to ordinals, checking domains.
-    pub fn ordinals(prog: &Program, var: usize, indices: &[Value]) -> Result<Vec<u64>> {
+    /// Flattened (row-major) cell of register `var` at `indices`, checking
+    /// the arity and every index against its domain.
+    pub fn cell(prog: &Program, var: usize, indices: &[Value]) -> Result<usize> {
         let decl = &prog.vars[var];
         if indices.len() != decl.index_domains.len() {
             return Err(RuleError::eval(format!(
@@ -51,37 +41,49 @@ impl RegFile {
             )));
         }
         let ss = prog.sym_sizes();
-        indices
-            .iter()
-            .zip(&decl.index_domains)
-            .map(|(v, d)| {
-                d.ordinal(v, &ss).ok_or_else(|| {
-                    RuleError::eval(format!("index {v} out of domain {d:?} for `{}`", decl.name))
-                })
-            })
-            .collect()
+        let mut cell = 0u64;
+        for (v, d) in indices.iter().zip(&decl.index_domains) {
+            let ord = d.ordinal(v, &ss).ok_or_else(|| {
+                RuleError::eval(format!("index {v} out of domain {d:?} for `{}`", decl.name))
+            })?;
+            cell = cell * d.size(&ss) + ord;
+        }
+        Ok(cell as usize)
     }
 
     /// Reads a register cell.
     pub fn read(&self, prog: &Program, var: usize, indices: &[Value]) -> Result<Value> {
-        let ords = Self::ordinals(prog, var, indices)?;
-        Ok(self.slots[var][Self::flat(prog, var, &ords)])
+        Ok(self.slots[var][Self::cell(prog, var, indices)?])
     }
 
     /// Writes a register cell, checking the value against the declared
     /// element type.
     pub fn write(&mut self, prog: &Program, var: usize, indices: &[Value], v: Value) -> Result<()> {
+        Self::check_value(prog, var, &v)?;
+        let cell = Self::cell(prog, var, indices)?;
+        self.slots[var][cell] = v;
+        Ok(())
+    }
+
+    /// Writes cell `cell` (from [`RegFile::cell`]), checking the value
+    /// against the declared element type.
+    pub fn write_cell(&mut self, prog: &Program, var: usize, cell: usize, v: Value) -> Result<()> {
+        Self::check_value(prog, var, &v)?;
+        self.slots[var][cell] = v;
+        Ok(())
+    }
+
+    fn check_value(prog: &Program, var: usize, v: &Value) -> Result<()> {
         let decl = &prog.vars[var];
         let ss = prog.sym_sizes();
-        let ok = match (decl.elem, &v) {
-            (crate::value::Type::Scalar(d), val) => d.contains(val, &ss),
-            (crate::value::Type::Set(d), Value::Set { dom, .. }) => {
+        let ok = match (decl.elem, v) {
+            (Type::Scalar(d), val) => d.contains(val, &ss),
+            (Type::Set(d), Value::Set { dom, .. }) => {
                 // same domain kind; mask interpreted over the declared domain
                 matches!(
                     (d, dom),
-                    (crate::value::Domain::Int { .. }, crate::value::Domain::Int { .. })
-                        | (crate::value::Domain::Bool, crate::value::Domain::Bool)
-                ) || matches!((d, dom), (crate::value::Domain::Sym(x), crate::value::Domain::Sym(y)) if x == *y)
+                    (Domain::Int { .. }, Domain::Int { .. }) | (Domain::Bool, Domain::Bool)
+                ) || matches!((d, dom), (Domain::Sym(x), Domain::Sym(y)) if x == *y)
             }
             _ => false,
         };
@@ -91,9 +93,6 @@ impl RegFile {
                 decl.name, decl.elem
             )));
         }
-        let ords = Self::ordinals(prog, var, indices)?;
-        let flat = Self::flat(prog, var, &ords);
-        self.slots[var][flat] = v;
         Ok(())
     }
 
@@ -110,102 +109,169 @@ pub trait InputProvider {
     fn read_input(&self, prog: &Program, input: usize, indices: &[Value]) -> Result<Value>;
 }
 
-/// Simple map-backed input provider with optional per-input defaults.
+/// Most index dimensions an input may declare.
+pub const MAX_INPUT_DIMS: usize = 4;
+
+/// Most cells one input may span in the dense layout.
+pub const MAX_INPUT_CELLS: u64 = 1 << 16;
+
+/// Dense input store with optional per-input defaults: one slot array
+/// per program.
 ///
-/// Index tuples are packed into a single `u64` (16 bits per dimension, up
-/// to four dimensions) so reads stay allocation-free on the hot path.
+/// The layout is computed once, from the program's `INPUT` declarations:
+/// every input owns a contiguous run of cells (row-major over its index
+/// domains) at a fixed offset. Reads and index-based writes
+/// ([`InputMap::set_input`]) compute a cell from the index ordinals and
+/// touch no hash table, string or heap. A host that makes one decision
+/// after another lays a map out once ([`InputMap::for_program`]), keeps
+/// it, and calls [`InputMap::clear`] between decisions.
+///
+/// [`InputMap::new`] makes an empty map that lays itself out on the first
+/// by-name [`InputMap::set`] or [`InputMap::set_default`]; until then
+/// every read fails.
 #[derive(Clone, Debug, Default)]
 pub struct InputMap {
-    values: HashMap<(usize, u64), Value>,
-    defaults: HashMap<usize, Value>,
+    slots: Vec<InputSlot>,
+    /// Every cell of every input; `None` is unset.
+    cells: Vec<Option<Value>>,
+    /// Per input: the value an unset cell reads as.
+    defaults: Vec<Option<Value>>,
 }
 
-/// Packs up to four per-dimension ordinals into one key.
-fn pack_ordinals(ords: &[u64]) -> Result<u64> {
-    if ords.len() > 4 {
-        return Err(RuleError::eval("inputs support at most 4 index dimensions".to_string()));
-    }
-    let mut key = 0u64;
-    for (i, &o) in ords.iter().enumerate() {
-        if o >= 1 << 16 {
-            return Err(RuleError::eval("input index ordinal exceeds 16 bits".to_string()));
-        }
-        key |= o << (16 * i);
-    }
-    Ok(key)
+#[derive(Clone, Debug)]
+struct InputSlot {
+    name: String,
+    /// First cell of this input in `cells`.
+    offset: usize,
+    /// Index domains with their sizes.
+    dims: Vec<(Domain, u64)>,
+    /// False when the input exceeds [`MAX_INPUT_DIMS`] or
+    /// [`MAX_INPUT_CELLS`]; it then owns no cells and every access errors.
+    laid_out: bool,
 }
 
 impl InputMap {
-    /// Creates an empty provider (reads fail unless set or defaulted).
+    /// Creates an empty map, laid out by its first by-name write.
     pub fn new() -> Self {
         Self::default()
     }
 
-    fn key(
-        prog: &Program,
-        decl: &InputDecl,
-        input: usize,
-        indices: &[Value],
-    ) -> Result<(usize, u64)> {
-        if indices.len() != decl.index_domains.len() {
+    /// Lays out an empty map for `prog`'s inputs (reads fail until a cell
+    /// is set or its input defaulted).
+    pub fn for_program(prog: &Program) -> Self {
+        let ss = prog.sym_sizes();
+        let mut offset = 0usize;
+        let slots = prog
+            .inputs
+            .iter()
+            .map(|decl| {
+                let dims: Vec<(Domain, u64)> =
+                    decl.index_domains.iter().map(|d| (*d, d.size(&ss))).collect();
+                let cells = dims.iter().try_fold(1u64, |acc, &(_, n)| acc.checked_mul(n));
+                let laid_out =
+                    dims.len() <= MAX_INPUT_DIMS && cells.is_some_and(|c| c <= MAX_INPUT_CELLS);
+                let slot = InputSlot { name: decl.name.clone(), offset, dims, laid_out };
+                if laid_out {
+                    offset += cells.unwrap_or(0) as usize;
+                }
+                slot
+            })
+            .collect();
+        InputMap { slots, cells: vec![None; offset], defaults: vec![None; prog.inputs.len()] }
+    }
+
+    /// Unsets every cell and drops every default, keeping the layout.
+    pub fn clear(&mut self) {
+        self.cells.fill(None);
+        self.defaults.fill(None);
+    }
+
+    fn slot(&self, input: usize) -> Result<&InputSlot> {
+        self.slots
+            .get(input)
+            .ok_or_else(|| RuleError::eval(format!("input {input} is not laid out in this map")))
+    }
+
+    /// Cell of `input` at `indices`, checking arity and domains.
+    fn cell(&self, input: usize, indices: &[Value]) -> Result<usize> {
+        let slot = self.slot(input)?;
+        if indices.len() != slot.dims.len() {
             return Err(RuleError::eval(format!(
                 "input `{}` expects {} indices, got {}",
-                decl.name,
-                decl.index_domains.len(),
+                slot.name,
+                slot.dims.len(),
                 indices.len()
             )));
         }
-        let ss = prog.sym_sizes();
-        let mut ords = [0u64; 4];
-        for (i, (v, d)) in indices.iter().zip(&decl.index_domains).enumerate() {
-            if i >= 4 {
-                return Err(RuleError::eval(
-                    "inputs support at most 4 index dimensions".to_string(),
-                ));
-            }
-            ords[i] = d
-                .ordinal(v, &ss)
-                .ok_or_else(|| RuleError::eval(format!("input index {v} out of domain {d:?}")))?;
+        if slot.dims.len() > MAX_INPUT_DIMS {
+            return Err(RuleError::eval(format!(
+                "inputs support at most {MAX_INPUT_DIMS} index dimensions"
+            )));
         }
-        Ok((input, pack_ordinals(&ords[..indices.len()])?))
+        let mut cell = 0u64;
+        for (v, &(d, n)) in indices.iter().zip(&slot.dims) {
+            let ord = d
+                .ordinal(v, &|_| n as usize)
+                .ok_or_else(|| RuleError::eval(format!("input index {v} out of domain {d:?}")))?;
+            cell = cell * n + ord;
+        }
+        if !slot.laid_out {
+            return Err(RuleError::eval(format!(
+                "input `{}` spans more than {MAX_INPUT_CELLS} cells",
+                slot.name
+            )));
+        }
+        Ok(slot.offset + cell as usize)
+    }
+
+    /// Sets input `input` (index into [`Program::inputs`], e.g. resolved
+    /// once through [`Program::input`]) at `indices`.
+    pub fn set_input(&mut self, input: usize, indices: &[Value], v: Value) -> Result<()> {
+        let cell = self.cell(input, indices)?;
+        self.cells[cell] = Some(v);
+        Ok(())
+    }
+
+    /// Sets the value every unset cell of input `input` reads as.
+    pub fn set_input_default(&mut self, input: usize, v: Value) -> Result<()> {
+        self.slot(input)?;
+        self.defaults[input] = Some(v);
+        Ok(())
+    }
+
+    /// Resolves input `name` of `prog`, laying the map out for `prog` if
+    /// nothing has yet.
+    fn resolve(&mut self, prog: &Program, name: &str) -> Result<usize> {
+        if self.slots.is_empty() {
+            *self = Self::for_program(prog);
+        }
+        prog.input(name).ok_or_else(|| RuleError::eval(format!("unknown input `{name}`")))
     }
 
     /// Sets a scalar or indexed input value by name.
     pub fn set(&mut self, prog: &Program, name: &str, indices: &[Value], v: Value) -> Result<()> {
-        let (input, decl) = prog
-            .inputs
-            .iter()
-            .enumerate()
-            .find(|(_, d)| d.name == name)
-            .ok_or_else(|| RuleError::eval(format!("unknown input `{name}`")))?;
-        let key = Self::key(prog, decl, input, indices)?;
-        self.values.insert(key, v);
-        Ok(())
+        let input = self.resolve(prog, name)?;
+        self.set_input(input, indices, v)
     }
 
     /// Sets a default returned for any unset cell of input `name`.
     pub fn set_default(&mut self, prog: &Program, name: &str, v: Value) -> Result<()> {
-        let input = prog
-            .inputs
-            .iter()
-            .position(|d| d.name == name)
-            .ok_or_else(|| RuleError::eval(format!("unknown input `{name}`")))?;
-        self.defaults.insert(input, v);
-        Ok(())
+        let input = self.resolve(prog, name)?;
+        self.set_input_default(input, v)
     }
 }
 
 impl InputProvider for InputMap {
-    fn read_input(&self, prog: &Program, input: usize, indices: &[Value]) -> Result<Value> {
-        let decl = &prog.inputs[input];
-        let key = Self::key(prog, decl, input, indices)?;
-        if let Some(v) = self.values.get(&key) {
-            return Ok(*v);
+    fn read_input(&self, _prog: &Program, input: usize, indices: &[Value]) -> Result<Value> {
+        let cell = self.cell(input, indices)?;
+        if let Some(v) = self.cells[cell].or(self.defaults[input]) {
+            return Ok(v);
         }
-        if let Some(v) = self.defaults.get(&input) {
-            return Ok(*v);
-        }
-        Err(RuleError::eval(format!("input `{}` (packed index {}) has no value", decl.name, key.1)))
+        Err(RuleError::eval(format!(
+            "input `{}` (cell {}) has no value",
+            self.slots[input].name,
+            cell - self.slots[input].offset
+        )))
     }
 }
 

@@ -12,6 +12,7 @@ use crate::ast::*;
 use crate::env::{InputProvider, RegFile};
 use crate::error::{Result, RuleError};
 use crate::value::{Domain, Value};
+use std::ops::Range;
 
 /// Read-only evaluation context for one rule-base invocation.
 pub struct EvalCtx<'a> {
@@ -59,12 +60,12 @@ pub struct FireOutcome {
     pub emitted: Vec<EventInstance>,
 }
 
-/// Enumerate the elements of a set value (canonical order).
-pub fn set_elements(prog: &Program, v: &Value) -> Result<Vec<Value>> {
+/// The elements of a set value in canonical order, without collecting
+/// them.
+pub fn set_iter(prog: &Program, v: &Value) -> Result<impl Iterator<Item = Value>> {
     let (dom, mask) = v.as_set()?;
-    let ss = prog.sym_sizes();
-    let n = dom.size(&ss);
-    Ok((0..n).filter(|k| mask & (1 << k) != 0).map(|k| dom.value_at(k)).collect())
+    let n = dom.size(&prog.sym_sizes());
+    Ok((0..n).filter(move |k| mask & (1 << k) != 0).map(move |k| dom.value_at(k)))
 }
 
 /// Builds a set value over the smallest common domain of two set domains.
@@ -79,29 +80,33 @@ fn hull_domain(a: Domain, b: Domain) -> Result<Domain> {
     }
 }
 
-fn set_from_elements(prog: &Program, dom: Domain, elems: &[Value]) -> Result<Value> {
-    let ss = prog.sym_sizes();
-    if dom.size(&ss) > 64 {
-        return Err(RuleError::eval("set domain exceeds 64 elements".to_string()));
-    }
-    let mut mask = 0u64;
-    for v in elems {
-        let k = dom
-            .ordinal(v, &ss)
-            .ok_or_else(|| RuleError::eval(format!("element {v} outside {dom:?}")))?;
-        mask |= 1 << k;
-    }
-    Ok(Value::Set { dom, mask })
-}
-
 /// Semantic equality (sets compare by membership, not by representation).
 pub fn values_equal(prog: &Program, a: &Value, b: &Value) -> Result<bool> {
     match (a, b) {
-        (Value::Set { .. }, Value::Set { .. }) => {
-            Ok(set_elements(prog, a)? == set_elements(prog, b)?)
-        }
+        (Value::Set { .. }, Value::Set { .. }) => Ok(set_iter(prog, a)?.eq(set_iter(prog, b)?)),
         _ => Ok(a == b),
     }
+}
+
+/// Inline capacity of the stack buffer that index tuples and builtin
+/// arguments are evaluated into (longer lists spill to the heap).
+const INLINE_VALUES: usize = 4;
+
+/// Evaluates `exprs` into a stack buffer and hands the values to `f`.
+fn with_values<'a, R>(
+    ctx: &mut EvalCtx<'a>,
+    exprs: &[Expr],
+    f: impl FnOnce(&mut EvalCtx<'a>, &[Value]) -> Result<R>,
+) -> Result<R> {
+    if exprs.len() > INLINE_VALUES {
+        let vals = exprs.iter().map(|e| eval_expr(ctx, e)).collect::<Result<Vec<_>>>()?;
+        return f(ctx, &vals);
+    }
+    let mut buf = [Value::Bool(false); INLINE_VALUES];
+    for (slot, e) in buf.iter_mut().zip(exprs) {
+        *slot = eval_expr(ctx, e)?;
+    }
+    f(ctx, &buf[..exprs.len()])
 }
 
 /// Evaluates an expression.
@@ -125,14 +130,10 @@ pub fn eval_expr(ctx: &mut EvalCtx<'_>, e: &Expr) -> Result<Value> {
                     .ok_or_else(|| RuleError::eval(format!("unbound binder depth {d}")))
             }
         },
-        Expr::Indexed { target, indices } => {
-            let idx: Result<Vec<Value>> = indices.iter().map(|i| eval_expr(ctx, i)).collect();
-            let idx = idx?;
-            match target {
-                IndexedRef::Var(v) => ctx.regs.read(ctx.prog, *v, &idx),
-                IndexedRef::Input(i) => ctx.inputs.read_input(ctx.prog, *i, &idx),
-            }
-        }
+        Expr::Indexed { target, indices } => with_values(ctx, indices, |ctx, idx| match target {
+            IndexedRef::Var(v) => ctx.regs.read(ctx.prog, *v, idx),
+            IndexedRef::Input(i) => ctx.inputs.read_input(ctx.prog, *i, idx),
+        }),
         Expr::Un(op, inner) => {
             let v = eval_expr(ctx, inner)?;
             match op {
@@ -161,9 +162,8 @@ pub fn eval_expr(ctx: &mut EvalCtx<'_>, e: &Expr) -> Result<Value> {
         }
         Expr::Quant { q, set, body, .. } => {
             let sv = eval_expr(ctx, set)?;
-            let elems = set_elements(ctx.prog, &sv)?;
             let mut acc = matches!(q, Quant::Forall);
-            for v in elems {
+            for v in set_iter(ctx.prog, &sv)? {
                 ctx.bounds.push(v);
                 let b = eval_expr(ctx, body);
                 ctx.bounds.pop();
@@ -214,8 +214,7 @@ pub(crate) fn apply_bin(prog: &Program, op: BinOp, lv: &Value, rv: &Value) -> Re
 }
 
 fn eval_builtin(ctx: &mut EvalCtx<'_>, b: Builtin, args: &[Expr]) -> Result<Value> {
-    let vals: Result<Vec<Value>> = args.iter().map(|a| eval_expr(ctx, a)).collect();
-    apply_builtin(ctx.prog, ctx.inputs, b, &vals?)
+    with_values(ctx, args, |ctx, vals| apply_builtin(ctx.prog, ctx.inputs, b, vals))
 }
 
 /// Applies a builtin to already-evaluated argument values. Shared by the
@@ -252,30 +251,42 @@ pub(crate) fn apply_builtin(
             }
             (x, y) => Err(RuleError::eval(format!("latmax on {x}, {y}"))),
         },
-        Builtin::Card => Ok(Value::Int(set_elements(prog, &arg(0)?)?.len() as i64)),
+        Builtin::Card => Ok(Value::Int(set_iter(prog, &arg(0)?)?.count() as i64)),
         Builtin::Union | Builtin::Isect | Builtin::Diff => {
             let lv = arg(0)?;
             let rv = arg(1)?;
             let (ld, _) = lv.as_set()?;
-            let (rd, _) = rv.as_set()?;
+            let (rd, rmask) = rv.as_set()?;
             let dom = hull_domain(ld, rd)?;
-            let le = set_elements(prog, &lv)?;
-            let re = set_elements(prog, &rv)?;
-            let elems: Vec<Value> = match b {
-                Builtin::Union => {
-                    let mut e = le;
-                    for v in re {
-                        if !e.contains(&v) {
-                            e.push(v);
-                        }
-                    }
-                    e
-                }
-                Builtin::Isect => le.into_iter().filter(|v| re.contains(v)).collect(),
-                Builtin::Diff => le.into_iter().filter(|v| !re.contains(v)).collect(),
-                _ => unreachable!(),
+            let ss = prog.sym_sizes();
+            if dom.size(&ss) > 64 {
+                return Err(RuleError::eval("set domain exceeds 64 elements".to_string()));
+            }
+            let in_r = |v: &Value| rd.ordinal(v, &ss).is_some_and(|k| rmask & (1 << k) != 0);
+            let mut mask = 0u64;
+            let mut add = |v: &Value| -> Result<()> {
+                let k = dom
+                    .ordinal(v, &ss)
+                    .ok_or_else(|| RuleError::eval(format!("element {v} outside {dom:?}")))?;
+                mask |= 1 << k;
+                Ok(())
             };
-            set_from_elements(prog, dom, &elems)
+            for v in set_iter(prog, &lv)? {
+                let keep = match b {
+                    Builtin::Union => true,
+                    Builtin::Isect => in_r(&v),
+                    _ => !in_r(&v),
+                };
+                if keep {
+                    add(&v)?;
+                }
+            }
+            if b == Builtin::Union {
+                for v in set_iter(prog, &rv)? {
+                    add(&v)?;
+                }
+            }
+            Ok(Value::Set { dom, mask })
         }
         Builtin::Include | Builtin::Exclude => {
             let sv = arg(0)?;
@@ -292,12 +303,8 @@ pub(crate) fn apply_builtin(
             Ok(Value::Set { dom, mask })
         }
         Builtin::ArgMin(input) | Builtin::ArgMax(input) => {
-            let elems = set_elements(prog, &arg(0)?)?;
-            if elems.is_empty() {
-                return Err(RuleError::eval("argmin/argmax over empty set".to_string()));
-            }
             let mut best: Option<(Value, i64)> = None;
-            for idx in elems {
+            for idx in set_iter(prog, &arg(0)?)? {
                 let v = inputs.read_input(prog, input, &[idx])?.as_int()?;
                 let better = match (&best, b) {
                     (None, _) => true,
@@ -308,33 +315,125 @@ pub(crate) fn apply_builtin(
                     best = Some((idx, v));
                 }
             }
-            Ok(best.expect("non-empty").0)
+            best.map(|(idx, _)| idx)
+                .ok_or_else(|| RuleError::eval("argmin/argmax over empty set".to_string()))
         }
     }
 }
 
-/// One pending register write (target cell ordinals + value).
-struct Write {
-    var: usize,
-    indices: Vec<Value>,
-    value: Value,
+/// Conclusion effects of one interpretation, queued in reusable buffers
+/// until the parallel commit. A rule machine keeps one and reuses it for
+/// every interpretation, so steady-state conclusion processing allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Effects {
+    /// Pending writes: register, index tuple (a range of `vals`), value.
+    writes: Vec<(usize, Range<usize>, Value)>,
+    /// Generated events: emit id (see [`emit_names`]), arguments (a range
+    /// of `vals`).
+    pub(crate) emits: Vec<(usize, Range<usize>)>,
+    /// Index tuples and event arguments.
+    pub(crate) vals: Vec<Value>,
+    /// Cells written by the commit in flight: register, cell, value.
+    done: Vec<(usize, usize, Value)>,
+    /// Binder stack lent to the evaluation context.
+    pub(crate) bounds: Vec<Value>,
+    /// RETURN value of the conclusion.
+    pub(crate) returned: Option<Value>,
 }
 
-/// Collected effects of a conclusion before they are applied.
-#[derive(Default)]
-struct Effects {
-    writes: Vec<Write>,
-    emits: Vec<EventInstance>,
-    returned: Option<Value>,
+impl Effects {
+    pub(crate) fn reset(&mut self) {
+        self.writes.clear();
+        self.emits.clear();
+        self.vals.clear();
+        self.returned = None;
+    }
+
+    /// Applies the queued writes with the parallel-write semantics: every
+    /// right-hand side was read from the pre-state; identical duplicate
+    /// writes are tolerated, conflicting ones are an error.
+    fn commit(&mut self, prog: &Program, regs: &mut RegFile) -> Result<()> {
+        self.done.clear();
+        for (var, idx, value) in &self.writes {
+            let cell = RegFile::cell(prog, *var, &self.vals[idx.clone()])?;
+            if let Some((_, _, prev)) = self.done.iter().find(|(v, c, _)| v == var && *c == cell) {
+                if !values_equal(prog, prev, value)? {
+                    return Err(RuleError::eval(format!(
+                        "conflicting parallel writes to `{}`",
+                        prog.vars[*var].name
+                    )));
+                }
+                continue;
+            }
+            regs.write_cell(prog, *var, cell, *value)?;
+            self.done.push((*var, cell, *value));
+        }
+        Ok(())
+    }
+
+    /// The owned outcome of rule `rule` of base `rb`, whose conclusion
+    /// these effects hold.
+    pub(crate) fn outcome(&self, prog: &Program, rb: usize, rule: usize) -> FireOutcome {
+        let names = emit_names(&prog.rulebases[rb].rules[rule].conclusion);
+        let emitted = self
+            .emits
+            .iter()
+            .map(|(id, args)| EventInstance {
+                event: names[*id].to_string(),
+                args: self.vals[args.clone()].to_vec(),
+            })
+            .collect();
+        FireOutcome { rule: Some(rule), returned: self.returned, emitted }
+    }
 }
 
-fn exec_commands(ctx: &mut EvalCtx<'_>, cmds: &[Command], fx: &mut Effects) -> Result<()> {
+/// The event names of a conclusion's `!event(...)` commands in pre-order
+/// (a `FORALL` body counted once). The position of a command in this list
+/// is its *emit id*: conclusion processing records emits by this id.
+pub fn emit_names(cmds: &[Command]) -> Vec<&str> {
+    fn walk<'c>(cmds: &'c [Command], out: &mut Vec<&'c str>) {
+        for cmd in cmds {
+            match cmd {
+                Command::Emit { event, .. } => out.push(event),
+                Command::ForAll { body, .. } => walk(body, out),
+                _ => {}
+            }
+        }
+    }
+    let mut out = Vec::new();
+    walk(cmds, &mut out);
+    out
+}
+
+fn count_emits(cmds: &[Command]) -> usize {
+    cmds.iter()
+        .map(|c| match c {
+            Command::Emit { .. } => 1,
+            Command::ForAll { body, .. } => count_emits(body),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// Evaluates conclusion commands into `fx`; `emit` is the emit id of the
+/// first `!event` command of `cmds`.
+fn exec_commands(
+    ctx: &mut EvalCtx<'_>,
+    cmds: &[Command],
+    fx: &mut Effects,
+    mut emit: usize,
+) -> Result<()> {
     for cmd in cmds {
         match cmd {
             Command::Assign { var, indices, value } => {
-                let idx: Result<Vec<Value>> = indices.iter().map(|i| eval_expr(ctx, i)).collect();
+                let start = fx.vals.len();
+                for i in indices {
+                    let v = eval_expr(ctx, i)?;
+                    fx.vals.push(v);
+                }
                 let value = eval_expr(ctx, value)?;
-                fx.writes.push(Write { var: *var, indices: idx?, value });
+                fx.writes.push((*var, start..fx.vals.len(), value));
             }
             Command::Return(e) => {
                 let v = eval_expr(ctx, e)?;
@@ -347,18 +446,24 @@ fn exec_commands(ctx: &mut EvalCtx<'_>, cmds: &[Command], fx: &mut Effects) -> R
                     _ => fx.returned = Some(v),
                 }
             }
-            Command::Emit { event, args } => {
-                let vals: Result<Vec<Value>> = args.iter().map(|a| eval_expr(ctx, a)).collect();
-                fx.emits.push(EventInstance { event: event.clone(), args: vals? });
+            Command::Emit { args, .. } => {
+                let start = fx.vals.len();
+                for a in args {
+                    let v = eval_expr(ctx, a)?;
+                    fx.vals.push(v);
+                }
+                fx.emits.push((emit, start..fx.vals.len()));
+                emit += 1;
             }
             Command::ForAll { set, body, .. } => {
                 let sv = eval_expr(ctx, set)?;
-                for v in set_elements(ctx.prog, &sv)? {
+                for v in set_iter(ctx.prog, &sv)? {
                     ctx.bounds.push(v);
-                    let r = exec_commands(ctx, body, fx);
+                    let r = exec_commands(ctx, body, fx, emit);
                     ctx.bounds.pop();
                     r?;
                 }
+                emit += count_emits(body);
             }
         }
     }
@@ -423,31 +528,29 @@ pub fn apply_rule(
     regs: &mut RegFile,
     inputs: &dyn InputProvider,
 ) -> Result<FireOutcome> {
-    let base = &prog.rulebases[rb];
     let mut fx = Effects::default();
-    {
-        let mut ctx = EvalCtx::new(prog, regs, inputs, params);
-        exec_commands(&mut ctx, &base.rules[rule].conclusion, &mut fx)?;
-    }
+    conclude(prog, rb, rule, params, regs, inputs, &mut fx)?;
+    Ok(fx.outcome(prog, rb, rule))
+}
 
-    // apply writes; detect conflicting parallel writes to the same cell
-    let mut done: Vec<(usize, Vec<u64>, Value)> = Vec::new();
-    for w in &fx.writes {
-        let ords = RegFile::ordinals(prog, w.var, &w.indices)?;
-        if let Some((_, _, prev)) = done.iter().find(|(v, o, _)| *v == w.var && *o == ords) {
-            if !values_equal(prog, prev, &w.value)? {
-                return Err(RuleError::eval(format!(
-                    "conflicting parallel writes to `{}`",
-                    prog.vars[w.var].name
-                )));
-            }
-            continue;
-        }
-        regs.write(prog, w.var, &w.indices, w.value)?;
-        done.push((w.var, ords, w.value));
-    }
-
-    Ok(FireOutcome { rule: Some(rule), returned: fx.returned, emitted: fx.emits })
+/// [`apply_rule`] into reusable buffers: the RETURN value and generated
+/// events stay in `fx`.
+pub(crate) fn conclude(
+    prog: &Program,
+    rb: usize,
+    rule: usize,
+    params: &[Value],
+    regs: &mut RegFile,
+    inputs: &dyn InputProvider,
+    fx: &mut Effects,
+) -> Result<()> {
+    fx.reset();
+    let mut ctx = EvalCtx { prog, regs, inputs, params, bounds: std::mem::take(&mut fx.bounds) };
+    let r = exec_commands(&mut ctx, &prog.rulebases[rb].rules[rule].conclusion, fx, 0);
+    fx.bounds = ctx.bounds;
+    fx.bounds.clear();
+    r?;
+    fx.commit(prog, regs)
 }
 
 #[cfg(test)]

@@ -1,13 +1,19 @@
 //! Event manager — "all actions are controlled and synchronized by an
 //! event manager" (§4).
 //!
-//! A [`Machine`] owns a compiled program and its register file. The host
-//! (the router) fires external events (message arrival, link-state change,
-//! flit completion); rule conclusions may generate further events
+//! A [`Machine`] shares a compiled program and owns its register file. The
+//! host (the router) fires external events (message arrival, link-state
+//! change, flit completion); rule conclusions may generate further events
 //! (`!event(args)`), which the manager queues and processes until quiescent.
 //! Events whose name matches no rule base are *host events* (e.g.
 //! `send_newmessage` telling the router to emit a control message to a
 //! neighbour) and are handed back to the caller.
+//!
+//! Every name is bound before the first fire: the compiler resolves each
+//! `!event` to a rule-base index, and a host resolves its entry events once
+//! ([`Machine::base_index`]) and fires them with [`Machine::fire_base`].
+//! The machine keeps its cascade buffers between fires, so a steady-state
+//! decision on the table backend compares no string and allocates nothing.
 //!
 //! Every rule-base interpretation counts as one **step** — the quantity the
 //! paper's §5 reports as "number of consecutive rule interpretations"
@@ -17,12 +23,13 @@ use crate::ast::Program;
 use crate::compile::{compile, CompileOptions};
 use crate::env::{InputProvider, RegFile};
 use crate::error::{Result, RuleError};
-use crate::eval::{EventInstance, FireOutcome};
+use crate::eval::{Effects, EventInstance, FireOutcome};
 use crate::interp::CompiledProgram;
 use crate::probe::InterpProbe;
 use crate::value::Value;
 use crate::vm::{Backend, Scratch, VmProgram};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Execution statistics of a machine.
@@ -80,7 +87,9 @@ impl StepWeights {
 /// Everything a cascaded fire produced.
 #[derive(Clone, Debug, Default)]
 pub struct CascadeOutcome {
-    /// Per-base outcomes, in firing order.
+    /// Per-base outcomes, in firing order. Their `emitted` lists are
+    /// empty: the machine routes each generated event, into its own queue
+    /// or into `host_events`.
     pub outcomes: Vec<FireOutcome>,
     /// Events that escaped to the host.
     pub host_events: Vec<EventInstance>,
@@ -97,9 +106,17 @@ impl CascadeOutcome {
 
 /// A running rule machine: compiled program + registers + event queue.
 pub struct Machine {
-    compiled: CompiledProgram,
+    compiled: Arc<CompiledProgram>,
     regs: RegFile,
-    queue: VecDeque<EventInstance>,
+    /// Internal events awaiting dispatch: rule base and the range of
+    /// `args` holding its arguments.
+    queue: VecDeque<(usize, Range<usize>)>,
+    /// Arguments of the events of the cascade in flight.
+    args: Vec<Value>,
+    /// Conclusion buffers of the table interpreter.
+    fx: Effects,
+    /// The last cascade's result, reused by the next.
+    out: CascadeOutcome,
     probe: Option<Arc<dyn InterpProbe>>,
     step_weights: Option<Arc<StepWeights>>,
     /// When set, rule bases execute on the bytecode VM instead of the
@@ -116,29 +133,22 @@ impl Machine {
     /// Compiles `prog` and builds a machine with freshly initialised
     /// registers.
     pub fn new(prog: Program, opts: &CompileOptions) -> Result<Self> {
-        let n = prog.rulebases.len();
-        let compiled = compile(&prog, opts)?;
-        let regs = RegFile::new(&compiled.prog);
-        Ok(Machine {
-            compiled,
-            regs,
-            queue: VecDeque::new(),
-            probe: None,
-            step_weights: None,
-            vm: None,
-            max_internal_events: 10_000,
-            stats: MachineStats { per_base: vec![0; n], ..Default::default() },
-        })
+        Ok(Self::from_compiled(compile(&prog, opts)?))
     }
 
-    /// Wraps an already compiled program.
-    pub fn from_compiled(compiled: CompiledProgram) -> Self {
+    /// Wraps an already compiled program; pass an `Arc` to share one
+    /// program among many machines.
+    pub fn from_compiled(compiled: impl Into<Arc<CompiledProgram>>) -> Self {
+        let compiled = compiled.into();
         let n = compiled.prog.rulebases.len();
         let regs = RegFile::new(&compiled.prog);
         Machine {
             compiled,
             regs,
             queue: VecDeque::new(),
+            args: Vec::new(),
+            fx: Effects::default(),
+            out: CascadeOutcome::default(),
             probe: None,
             step_weights: None,
             vm: None,
@@ -219,9 +229,27 @@ impl Machine {
         &mut self.regs
     }
 
+    /// Writes register `var` (e.g. a node's own coordinates, through an
+    /// index resolved once with [`Program::var`]).
+    pub fn write_reg(&mut self, var: usize, indices: &[Value], v: Value) -> Result<()> {
+        self.regs.write(&self.compiled.prog, var, indices, v)
+    }
+
+    /// Reads register `var`.
+    pub fn read_reg(&self, var: usize, indices: &[Value]) -> Result<Value> {
+        self.regs.read(&self.compiled.prog, var, indices)
+    }
+
+    /// Index of the rule base triggered by event `name` — the handle a
+    /// host resolves once and passes to [`Machine::fire_base`].
+    pub fn base_index(&self, name: &str) -> Option<usize> {
+        self.compiled.prog.rulebase(name).map(|(i, _)| i)
+    }
+
     /// Fires external event `event(args)`, then drains all internally
     /// generated events. Returns the outcome of the *directly fired* base
-    /// plus every event that escaped to the host.
+    /// (with its events routed, see [`CascadeOutcome::outcomes`]) plus
+    /// every event that escaped to the host.
     pub fn fire(
         &mut self,
         event: &str,
@@ -229,31 +257,67 @@ impl Machine {
         inputs: &dyn InputProvider,
     ) -> Result<(FireOutcome, Vec<EventInstance>)> {
         let casc = self.fire_cascade(event, args, inputs)?;
-        let direct = casc.outcomes.into_iter().next().unwrap_or_default();
-        Ok((direct, casc.host_events))
+        Ok((casc.outcomes.first().cloned().unwrap_or_default(), casc.host_events.clone()))
     }
 
     /// Like [`Machine::fire`], but returns every rule-base outcome of the
     /// cascade in firing order — a multi-step routing decision (e.g.
     /// NAFTA's `incoming_message` → `in_message_ft` → `test_exception`)
     /// delivers its verdict from the *last* base that returned a value.
+    /// An event without a rule base becomes a host event.
     pub fn fire_cascade(
         &mut self,
         event: &str,
         args: &[Value],
         inputs: &dyn InputProvider,
-    ) -> Result<CascadeOutcome> {
-        self.stats.last_fire_steps = 0;
-        let mut host_events = Vec::new();
-        let mut outcomes = Vec::new();
+    ) -> Result<&CascadeOutcome> {
+        let base = self.base_index(event);
+        self.cascade(base.ok_or(event), args, inputs)
+    }
 
-        // an event without a rule base becomes a host event inside dispatch
-        if let Some(out) = self.dispatch(event, args, inputs, &mut host_events)? {
-            outcomes.push(out);
+    /// [`Machine::fire_cascade`] of rule base `base` (from
+    /// [`Machine::base_index`]): the per-decision entry point.
+    pub fn fire_base(
+        &mut self,
+        base: usize,
+        args: &[Value],
+        inputs: &dyn InputProvider,
+    ) -> Result<&CascadeOutcome> {
+        if base >= self.compiled.bases.len() {
+            return Err(RuleError::eval(format!("no rule base {base}")));
         }
+        self.cascade(Ok(base), args, inputs)
+    }
 
+    /// Dispatches the first event (a rule base, or the name of a host
+    /// event), then drains the internal queue.
+    fn cascade(
+        &mut self,
+        first: std::result::Result<usize, &str>,
+        args: &[Value],
+        inputs: &dyn InputProvider,
+    ) -> Result<&CascadeOutcome> {
+        self.stats.last_fire_steps = 0;
+        self.out.outcomes.clear();
+        self.out.host_events.clear();
+        // events left queued by a cascade that failed still run, after
+        // this fire's first event; their arguments must survive
+        if self.queue.is_empty() {
+            self.args.clear();
+        }
+        match first {
+            Ok(base) => {
+                let start = self.args.len();
+                self.args.extend_from_slice(args);
+                self.dispatch(base, start..self.args.len(), inputs)?;
+            }
+            Err(event) => self
+                .out
+                .host_events
+                .push(EventInstance { event: event.to_string(), args: args.to_vec() }),
+        }
         let mut processed = 0u32;
-        while let Some(ev) = self.queue.pop_front() {
+        while let Some((base, args)) = self.queue.pop_front() {
             processed += 1;
             if processed > self.max_internal_events {
                 return Err(RuleError::eval(format!(
@@ -261,56 +325,85 @@ impl Machine {
                     self.max_internal_events
                 )));
             }
-            if let Some(out) = self.dispatch(&ev.event, &ev.args, inputs, &mut host_events)? {
-                outcomes.push(out);
-            }
+            self.dispatch(base, args, inputs)?;
         }
-        let steps = self.stats.last_fire_steps;
-        Ok(CascadeOutcome { outcomes, host_events, steps })
+        self.out.steps = self.stats.last_fire_steps;
+        Ok(&self.out)
     }
 
-    /// Interprets one event: if a rule base matches, fire it (counting one
-    /// step) and queue its internal events; otherwise report a host event.
+    /// Interprets rule base `idx` on the arguments `self.args[params]`
+    /// (counting one step), queues the internal events its conclusion
+    /// generated and hands the others to the host.
     fn dispatch(
         &mut self,
-        event: &str,
-        args: &[Value],
+        idx: usize,
+        params: Range<usize>,
         inputs: &dyn InputProvider,
-        host_events: &mut Vec<EventInstance>,
-    ) -> Result<Option<FireOutcome>> {
-        let Some((idx, _)) = self.compiled.prog.rulebase(event) else {
-            host_events.push(EventInstance { event: event.to_string(), args: args.to_vec() });
-            return Ok(None);
-        };
+    ) -> Result<()> {
         self.stats.per_base[idx] += 1;
         let prog = &self.compiled.prog;
-        let out = match (&mut self.vm, &self.probe) {
-            (Some((vm, sc)), Some(p)) => {
-                vm.bases[idx].fire_probed(prog, args, &mut self.regs, inputs, sc, p.as_ref())?
+        let (rule, returned) = match &mut self.vm {
+            None => {
+                let base = &self.compiled.bases[idx];
+                let rule = base.fire_into(
+                    prog,
+                    &self.args[params],
+                    &mut self.regs,
+                    inputs,
+                    &mut self.fx,
+                    self.probe.as_deref(),
+                )?;
+                for (id, args) in &self.fx.emits {
+                    let args = &self.fx.vals[args.clone()];
+                    // an interpretation that fired no rule emitted nothing
+                    let target = &base.emits[rule.unwrap_or_default()][*id];
+                    match target.base {
+                        Some(b) => {
+                            let start = self.args.len();
+                            self.args.extend_from_slice(args);
+                            self.queue.push_back((b, start..self.args.len()));
+                        }
+                        None => self.out.host_events.push(EventInstance {
+                            event: target.event.clone(),
+                            args: args.to_vec(),
+                        }),
+                    }
+                }
+                (rule, self.fx.returned)
             }
-            (Some((vm, sc)), None) => vm.bases[idx].fire(prog, args, &mut self.regs, inputs, sc)?,
-            (None, Some(p)) => self.compiled.bases[idx].fire_probed(
-                prog,
-                args,
-                &mut self.regs,
-                inputs,
-                p.as_ref(),
-            )?,
-            (None, None) => self.compiled.bases[idx].fire(prog, args, &mut self.regs, inputs)?,
+            Some((vm, sc)) => {
+                let params = &self.args[params];
+                let out = match &self.probe {
+                    Some(p) => vm.bases[idx].fire_probed(
+                        prog,
+                        params,
+                        &mut self.regs,
+                        inputs,
+                        sc,
+                        p.as_ref(),
+                    )?,
+                    None => vm.bases[idx].fire(prog, params, &mut self.regs, inputs, sc)?,
+                };
+                for ev in out.emitted {
+                    match prog.rulebase(&ev.event) {
+                        Some((b, _)) => {
+                            let start = self.args.len();
+                            self.args.extend_from_slice(&ev.args);
+                            self.queue.push_back((b, start..self.args.len()));
+                        }
+                        None => self.out.host_events.push(ev),
+                    }
+                }
+                (out.rule, out.returned)
+            }
         };
         // modeled steps: a fused rule counts as every interpretation it
         // replaced, so step-derived quantities match the original program
-        let w = self.step_weights.as_ref().map_or(1, |sw| sw.weight(idx, out.rule));
+        let w = self.step_weights.as_ref().map_or(1, |sw| sw.weight(idx, rule));
         self.stats.total_steps += u64::from(w);
         self.stats.last_fire_steps += w;
-        for ev in &out.emitted {
-            if self.compiled.prog.rulebase(&ev.event).is_some() {
-                self.queue.push_back(ev.clone());
-            } else {
-                host_events.push(ev.clone());
-            }
-        }
-        Ok(Some(out))
+        self.out.outcomes.push(FireOutcome { rule, returned, emitted: Vec::new() });
+        Ok(())
     }
 }
 

@@ -3,7 +3,8 @@
 //! One invocation performs the three hardware steps:
 //!
 //! 1. **premise processing** — the FCFBs evaluate the extracted features
-//!    against the current inputs/registers ([`CompiledRuleBase::feature_vector`]);
+//!    against the current inputs/registers and wire them into the table
+//!    index ([`CompiledRuleBase::select`]);
 //! 2. **RBR-kernel** — a single lookup in the completely filled rule table
 //!    selects the applicable rule;
 //! 3. **conclusion processing** — the selected rule's commands execute
@@ -19,7 +20,7 @@ use crate::ast::Program;
 use crate::compile::{CompileWarning, Feature, FeatureKind};
 use crate::env::{InputProvider, RegFile};
 use crate::error::{Result, RuleError};
-use crate::eval::{apply_rule, eval_expr, EvalCtx, FireOutcome};
+use crate::eval::{conclude, eval_expr, Effects, EvalCtx, FireOutcome};
 use crate::probe::{InterpProbe, Stage};
 use crate::value::Value;
 use std::num::NonZeroU16;
@@ -59,6 +60,19 @@ pub struct CompiledRuleBase {
     /// should reason over; the surface premise in
     /// [`Program::rulebases`] may still contain quantifiers.
     pub premises: Vec<crate::ast::Expr>,
+    /// Per rule: where each `!event(...)` of its conclusion goes, in emit
+    /// id order (see [`crate::eval::emit_names`]), resolved once at
+    /// compile time so the event manager dispatches by index.
+    pub emits: Vec<Vec<EmitTarget>>,
+}
+
+/// The resolved destination of one `!event(...)` command.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct EmitTarget {
+    /// The event name.
+    pub event: String,
+    /// The rule base it triggers; `None` makes it a host event.
+    pub base: Option<usize>,
 }
 
 impl CompiledRuleBase {
@@ -121,41 +135,45 @@ impl CompiledRuleBase {
         s
     }
 
-    /// Step 1: computes the feature digits from live inputs/registers.
-    pub fn feature_vector(
+    /// Step 1: evaluates the features against live inputs/registers and
+    /// accumulates their digits straight into the mixed-radix table index
+    /// (first feature = least significant digit).
+    fn premise_index(
         &self,
         prog: &Program,
         params: &[Value],
         regs: &RegFile,
         inputs: &dyn InputProvider,
-    ) -> Result<Vec<u64>> {
+        bounds: &mut Vec<Value>,
+    ) -> Result<u64> {
         let ss = prog.sym_sizes();
-        let mut ctx = EvalCtx::new(prog, regs, inputs, params);
-        self.features
-            .iter()
-            .map(|f| match &f.kind {
-                FeatureKind::Direct { subject, dom } => {
-                    let v = eval_expr(&mut ctx, subject)?;
-                    dom.ordinal(&v, &ss).ok_or_else(|| {
-                        RuleError::eval(format!("direct feature value {v} outside {dom:?}"))
-                    })
-                }
-                FeatureKind::Predicate { expr } => {
-                    Ok(u64::from(eval_expr(&mut ctx, expr)?.as_bool()?))
-                }
-            })
-            .collect()
-    }
-
-    /// Step 2: mixed-radix index from the feature digits.
-    pub fn index(&self, digits: &[u64]) -> u64 {
+        let mut ctx = EvalCtx { prog, regs, inputs, params, bounds: std::mem::take(bounds) };
         let mut idx = 0u64;
         let mut stride = 1u64;
-        for (d, r) in digits.iter().zip(&self.radices) {
-            idx += d * stride;
-            stride *= r;
-        }
-        idx
+        let mut digits = || -> Result<()> {
+            for (i, f) in self.features.iter().enumerate() {
+                let digit = match &f.kind {
+                    FeatureKind::Direct { subject, dom } => {
+                        let v = eval_expr(&mut ctx, subject)?;
+                        dom.ordinal(&v, &ss).ok_or_else(|| {
+                            RuleError::eval(format!("direct feature value {v} outside {dom:?}"))
+                        })?
+                    }
+                    FeatureKind::Predicate { expr } => {
+                        u64::from(eval_expr(&mut ctx, expr)?.as_bool()?)
+                    }
+                };
+                if let Some(r) = self.radices.get(i) {
+                    idx += digit * stride;
+                    stride *= r;
+                }
+            }
+            Ok(())
+        };
+        let r = digits();
+        *bounds = ctx.bounds;
+        bounds.clear();
+        r.map(|()| idx)
     }
 
     /// Decodes a raw table entry into a rule index. Entries indexing past
@@ -200,8 +218,7 @@ impl CompiledRuleBase {
         regs: &RegFile,
         inputs: &dyn InputProvider,
     ) -> Result<Option<usize>> {
-        let digits = self.feature_vector(prog, params, regs, inputs)?;
-        self.entry(self.index(&digits))
+        self.entry(self.premise_index(prog, params, regs, inputs, &mut Vec::new())?)
     }
 
     /// Full interpretation: premise processing, kernel lookup, conclusion
@@ -213,16 +230,11 @@ impl CompiledRuleBase {
         regs: &mut RegFile,
         inputs: &dyn InputProvider,
     ) -> Result<FireOutcome> {
-        match self.select(prog, params, regs, inputs)? {
-            None => Ok(FireOutcome::default()),
-            Some(rule) => apply_rule(prog, self.rb, rule, params, regs, inputs),
-        }
+        self.fire_owned(prog, params, regs, inputs, None)
     }
 
     /// Like [`CompiledRuleBase::fire`], but reports the wall-clock cost of
-    /// each of the three interpretation stages to `probe`. The unprobed
-    /// path pays nothing for this — [`CompiledRuleBase::fire`] is
-    /// untouched.
+    /// each of the three interpretation stages to `probe`.
     pub fn fire_probed(
         &self,
         prog: &Program,
@@ -231,19 +243,59 @@ impl CompiledRuleBase {
         inputs: &dyn InputProvider,
         probe: &dyn InterpProbe,
     ) -> Result<FireOutcome> {
+        self.fire_owned(prog, params, regs, inputs, Some(probe))
+    }
+
+    fn fire_owned(
+        &self,
+        prog: &Program,
+        params: &[Value],
+        regs: &mut RegFile,
+        inputs: &dyn InputProvider,
+        probe: Option<&dyn InterpProbe>,
+    ) -> Result<FireOutcome> {
+        let mut fx = Effects::default();
+        Ok(match self.fire_into(prog, params, regs, inputs, &mut fx, probe)? {
+            None => FireOutcome::default(),
+            Some(rule) => fx.outcome(prog, self.rb, rule),
+        })
+    }
+
+    /// One interpretation into reusable buffers: returns the rule that
+    /// fired (`None` = gap) and leaves its RETURN value and events in
+    /// `fx`. With a probe, each stage's wall-clock cost is reported; the
+    /// unprobed path reads no clock.
+    pub(crate) fn fire_into(
+        &self,
+        prog: &Program,
+        params: &[Value],
+        regs: &mut RegFile,
+        inputs: &dyn InputProvider,
+        fx: &mut Effects,
+        probe: Option<&dyn InterpProbe>,
+    ) -> Result<Option<usize>> {
+        fx.reset();
+        let Some(probe) = probe else {
+            let rule =
+                self.entry(self.premise_index(prog, params, regs, inputs, &mut fx.bounds)?)?;
+            if let Some(r) = rule {
+                conclude(prog, self.rb, r, params, regs, inputs, fx)?;
+            }
+            return Ok(rule);
+        };
         let t0 = Instant::now();
-        let digits = self.feature_vector(prog, params, regs, inputs)?;
+        let idx = self.premise_index(prog, params, regs, inputs, &mut fx.bounds)?;
         let t1 = Instant::now();
         probe.record_stage(self.rb, Stage::Premise, (t1 - t0).as_nanos() as u64);
-        let rule = self.entry(self.index(&digits))?;
+        let rule = self.entry(idx)?;
         let t2 = Instant::now();
         probe.record_stage(self.rb, Stage::Kernel, (t2 - t1).as_nanos() as u64);
         let out = match rule {
-            None => Ok(FireOutcome::default()),
-            Some(r) => apply_rule(prog, self.rb, r, params, regs, inputs),
+            None => Ok(()),
+            Some(r) => conclude(prog, self.rb, r, params, regs, inputs, fx),
         };
         probe.record_stage(self.rb, Stage::Conclusion, t2.elapsed().as_nanos() as u64);
-        out
+        out.map(|()| rule)
     }
 }
 
@@ -430,8 +482,15 @@ END classify;
         let p = parse(SRC).unwrap();
         let c = compile(&p, &CompileOptions::default()).unwrap();
         let b = &c.bases[0];
-        assert_eq!(b.index(&[0, 0, 0]), 0);
-        let last: Vec<u64> = b.radices.iter().map(|r| r - 1).collect();
-        assert_eq!(b.index(&last), b.entries - 1);
+        let index = |state: u32, level: i64| {
+            let mut regs = RegFile::new(&p);
+            regs.write(&p, 0, &[], Value::Sym { ty: 0, idx: state }).unwrap();
+            let mut inp = InputMap::new();
+            inp.set_default(&p, "level", int(level)).unwrap();
+            b.premise_index(&p, &[int(0)], &regs, &inp, &mut Vec::new()).unwrap()
+        };
+        // every digit at its lowest value, then every digit at its highest
+        assert_eq!(index(0, 0), 0);
+        assert_eq!(index(2, 9), b.entries - 1);
     }
 }

@@ -38,7 +38,7 @@ pub use error::{Result, RuleError};
 pub use eval::{fire_reference, EventInstance, FireOutcome};
 pub use event::{Machine, StepWeights};
 pub use fcfb::FcfbKind;
-pub use interp::{CompiledProgram, CompiledRuleBase};
+pub use interp::{CompiledProgram, CompiledRuleBase, EmitTarget};
 pub use parser::parse;
 pub use probe::{InterpProbe, Stage};
 pub use value::{Domain, Type, Value};

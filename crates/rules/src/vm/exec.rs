@@ -39,7 +39,7 @@ struct QueuedWrite {
 }
 
 /// An in-progress set iteration (canonical ordinal order, like
-/// [`crate::eval::set_elements`]).
+/// [`crate::eval::set_iter`]).
 #[derive(Clone, Copy, Debug)]
 struct IterState {
     dom: Domain,
@@ -82,10 +82,10 @@ impl Scratch {
     /// semantics — same pre-state reads, apply order, duplicate tolerance
     /// and conflict error as [`crate::eval::apply_rule`].
     fn commit(&mut self, prog: &Program, rule: usize, regs: &mut RegFile) -> Result<FireOutcome> {
-        let mut done: Vec<(usize, Vec<u64>, Value)> = Vec::new();
+        let mut done: Vec<(usize, usize, Value)> = Vec::new();
         for w in &self.writes {
-            let ords = RegFile::ordinals(prog, w.var, &w.indices)?;
-            if let Some((_, _, prev)) = done.iter().find(|(v, o, _)| *v == w.var && *o == ords) {
+            let cell = RegFile::cell(prog, w.var, &w.indices)?;
+            if let Some((_, _, prev)) = done.iter().find(|(v, c, _)| *v == w.var && *c == cell) {
                 if !values_equal(prog, prev, &w.value)? {
                     return Err(RuleError::eval(format!(
                         "conflicting parallel writes to `{}`",
@@ -94,8 +94,8 @@ impl Scratch {
                 }
                 continue;
             }
-            regs.write(prog, w.var, &w.indices, w.value)?;
-            done.push((w.var, ords, w.value));
+            regs.write_cell(prog, w.var, cell, w.value)?;
+            done.push((w.var, cell, w.value));
         }
         Ok(FireOutcome {
             rule: Some(rule),

@@ -709,7 +709,7 @@ END update_state;
             m.set_backend(backend).unwrap();
             assert_eq!(m.backend(), backend);
             let casc = m.fire_cascade("a", &[], &InputMap::new()).unwrap();
-            (casc.outcomes, casc.host_events, casc.steps, m.stats.clone())
+            (casc.outcomes.clone(), casc.host_events.clone(), casc.steps, m.stats.clone())
         };
         let table = run(Backend::Table);
         let bytecode = run(Backend::Bytecode);

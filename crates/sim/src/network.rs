@@ -150,6 +150,9 @@ struct ShardScratch {
     used: Vec<bool>,
     /// Whether this shard moved any flit this cycle.
     moved: bool,
+    /// The router snapshot behind every controller consult (and its
+    /// wait-for probes), refilled per consult.
+    view: ViewData,
 }
 
 /// Immutable per-step context shared by every shard.
@@ -1836,8 +1839,8 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
     }
 
     // consult the controller
-    let vd = view_data_sh(ctx, &t.ch, n);
-    let view = vd.view(n, ctx.cycle);
+    view_data_sh(ctx, &t.ch, n, &mut t.scr.view);
+    let view = t.scr.view.view(n, ctx.cycle);
     let mut header = header_copy;
     let dec = t.ctrls[ni - t.lo].route(&view, &mut header, in_port, VcId(iv as u8));
     // write back header updates
@@ -1894,6 +1897,7 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
                 let wants = probe_wants_sh(
                     ctx,
                     &mut t.ctrls[ni - t.lo],
+                    &mut t.scr.view,
                     n,
                     &header,
                     in_port,
@@ -2058,26 +2062,20 @@ fn emit_sh(ctx: &StepCtx<'_>, scr: &mut ShardScratch, kind: impl FnOnce() -> Eve
     }
 }
 
-/// Shard-side [`ViewData`] snapshot — same shape as the master's
-/// `Network::view_data`, reading through the shard's arena view.
-fn view_data_sh(ctx: &StepCtx<'_>, ch: &ChanRef<'_>, n: NodeId) -> ViewData {
+/// Shard-side [`ViewData`] snapshot of node `n` into the shard's reused
+/// buffer — same contents as the master's `Network::view_data`, reading
+/// through the shard's arena view.
+fn view_data_sh(ctx: &StepCtx<'_>, ch: &ChanRef<'_>, n: NodeId, vd: &mut ViewData) {
     let ni = n.idx();
-    let mut out_free = vec![vec![false; ctx.vcs]; ctx.degree];
-    let mut link_alive = vec![false; ctx.degree];
+    vd.shape(ctx.degree, ctx.vcs);
     for p in 0..ctx.degree {
         let alive = ctx.faults.link_usable(ctx.topo, n, PortId(p as u8));
-        link_alive[p] = alive;
-        if alive {
-            for v in 0..ctx.vcs {
-                out_free[p][v] = ch.out_channel_free(ni, p, v);
-            }
+        vd.link_alive[p] = alive;
+        for v in 0..ctx.vcs {
+            vd.out_free[p][v] = alive && ch.out_channel_free(ni, p, v);
         }
+        vd.out_load[p] = ch.out_assigned(ni, p) + ch.out_reg(ni, p).is_some() as u32;
     }
-    let mut out_load = vec![0u32; ctx.degree];
-    for p in 0..ctx.degree {
-        out_load[p] = ch.out_assigned(ni, p) + ch.out_reg(ni, p).is_some() as u32;
-    }
-    ViewData { out_free, out_load, link_alive }
 }
 
 /// Output channels the controller would accept *right now* for a head it
@@ -2086,38 +2084,30 @@ fn view_data_sh(ctx: &StepCtx<'_>, ch: &ChanRef<'_>, n: NodeId) -> ViewData {
 /// it. Runs only while a trace sink is attached (the `RouteWait` wait-for
 /// edges); header mutations made by the probed decisions are discarded, so
 /// a controller whose `route` is a pure function of view + header — every
-/// in-tree algorithm — is unperturbed.
+/// in-tree algorithm — is unperturbed. `vd` holds the consult's snapshot
+/// of `n`; its link status is kept and its loads and free flags are
+/// overwritten.
 fn probe_wants_sh(
     ctx: &StepCtx<'_>,
     ctrl: &mut Box<dyn NodeController>,
+    vd: &mut ViewData,
     n: NodeId,
     header: &Header,
     in_port: Option<PortId>,
     in_vc: VcId,
 ) -> Vec<(PortId, VcId)> {
-    let mut link_alive = vec![false; ctx.degree];
-    for (p, alive) in link_alive.iter_mut().enumerate() {
-        *alive = ctx.faults.link_usable(ctx.topo, n, PortId(p as u8));
-    }
-    let out_load = vec![0u32; ctx.degree];
-    let mut out_free = vec![vec![false; ctx.vcs]; ctx.degree];
+    vd.out_load.fill(0);
+    vd.out_free.iter_mut().for_each(|f| f.fill(false));
     let mut wants = Vec::new();
     for p in 0..ctx.degree {
-        if !link_alive[p] {
+        if !vd.link_alive[p] {
             continue;
         }
         for v in 0..ctx.vcs {
-            out_free[p][v] = true;
-            let view = RouterView {
-                node: n,
-                cycle: ctx.cycle,
-                out_free: &out_free,
-                out_load: &out_load,
-                link_alive: &link_alive,
-            };
+            vd.out_free[p][v] = true;
             let mut h = *header;
-            let dec = ctrl.route(&view, &mut h, in_port, in_vc);
-            out_free[p][v] = false;
+            let dec = ctrl.route(&vd.view(n, ctx.cycle), &mut h, in_port, in_vc);
+            vd.out_free[p][v] = false;
             if let Verdict::Route(rp, rv) = dec.verdict {
                 if rp.idx() == p && rv.idx() == v {
                     wants.push((PortId(p as u8), VcId(v as u8)));
@@ -2129,6 +2119,7 @@ fn probe_wants_sh(
 }
 
 /// Owned per-node snapshot backing a [`RouterView`].
+#[derive(Default)]
 struct ViewData {
     out_free: Vec<Vec<bool>>,
     out_load: Vec<u32>,
@@ -2136,6 +2127,17 @@ struct ViewData {
 }
 
 impl ViewData {
+    /// Sizes the buffers for `degree` ports of `vcs` virtual channels;
+    /// allocates only when the shape changes.
+    fn shape(&mut self, degree: usize, vcs: usize) {
+        if self.link_alive.len() != degree || self.out_free.first().is_some_and(|f| f.len() != vcs)
+        {
+            self.out_free = vec![vec![false; vcs]; degree];
+            self.out_load = vec![0; degree];
+            self.link_alive = vec![false; degree];
+        }
+    }
+
     fn view(&self, node: NodeId, cycle: u64) -> RouterView<'_> {
         RouterView {
             node,
