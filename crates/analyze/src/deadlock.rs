@@ -154,6 +154,14 @@ fn note_error(slot: &RefCell<Option<String>>, e: String) {
     slot.borrow_mut().get_or_insert(e);
 }
 
+/// A rule base that failed to fire while the lift drove it. Its verdict
+/// is unknown, so — like an input the lift cannot load — it rejects the
+/// proof instead of reading as "no routes" (`verify_mesh` and
+/// `verify_cube` append the fault set).
+fn fire_error(prog: &Program, base: usize, e: impl std::fmt::Display) -> String {
+    format!("rule base `{}` failed to fire: {e}", prog.rulebases[base].name)
+}
+
 // ---------------------------------------------------------------------------
 // mesh lift
 
@@ -328,11 +336,11 @@ impl MeshProgramLift {
                 }
 
                 let Some(entry) = s.entry else { continue };
-                if let Ok(casc) = machine.fire_base(entry, &[], &*im) {
-                    if let Some(Value::Int(d)) = casc.last_return() {
-                        if (0..4).contains(&d) && usable_mask & (1 << d) != 0 {
-                            out.insert(d as u8);
-                        }
+                let casc =
+                    machine.fire_base(entry, &[], &*im).map_err(|e| fire_error(prog, entry, e))?;
+                if let Some(Value::Int(d)) = casc.last_return() {
+                    if (0..4).contains(&d) && usable_mask & (1 << d) != 0 {
+                        out.insert(d as u8);
                     }
                 }
             }
@@ -565,12 +573,15 @@ impl CubeProgramLift {
 
         // step 1: decide_dir is deterministic in the difference sets
         *machine.regs_mut() = RegFile::new(prog);
-        let cands = match s.decide_dir.map(|b| machine.fire_base(b, &[], &*im)) {
-            Some(Ok(casc)) => match casc.last_return() {
-                Some(Value::Set { mask, .. }) => mask,
-                _ => 0,
-            },
-            _ => 0,
+        let cands = match s.decide_dir {
+            Some(b) => {
+                let casc = machine.fire_base(b, &[], &*im).map_err(|e| fire_error(prog, b, e))?;
+                match casc.last_return() {
+                    Some(Value::Set { mask, .. }) => mask,
+                    _ => 0,
+                }
+            }
+            None => 0,
         };
         if cands == 0 {
             return Ok(Vec::new());
@@ -598,7 +609,9 @@ impl CubeProgramLift {
                 }
                 *machine.regs_mut() = RegFile::new(prog);
                 let Some(decide_vc) = s.decide_vc else { continue };
-                let Ok(casc) = machine.fire_base(decide_vc, &[], &*im) else { continue };
+                let casc = machine
+                    .fire_base(decide_vc, &[], &*im)
+                    .map_err(|e| fire_error(prog, decide_vc, e))?;
                 let Some(Value::Int(vc)) = casc.last_return() else { continue };
                 if !(0..5).contains(&vc) {
                     continue; // 7 = wait

@@ -119,3 +119,49 @@ fn a_cube_program_smaller_than_the_cube_is_rejected() {
     let err = report.lift_error.as_deref().unwrap_or_default();
     assert!(err.contains("`out_queue`(4)"), "{err}");
 }
+
+/// Mutation test: a rule base that fails to fire on one reachable query
+/// must reject the proof, not shrink the relation. The mutant is the
+/// shipped XY program plus one rule that RETURNs twice with different
+/// values — an evaluation error — only at node (1,1) for destination
+/// (2,2); the unmutated program verifies.
+#[test]
+fn a_mesh_program_that_errors_on_one_query_is_never_certified() {
+    let xy = ftr_algos::rules_src::all().into_iter().find(|(n, _)| *n == "xy").expect("xy").1;
+    let head = "ON route_msg() RETURNS 0 TO 15 NFT\n";
+    assert!(xy.contains(head), "XY source changed shape");
+    let clean = verify_mesh("xy", &compiled(xy), 3, 3, MeshVcMode::SingleVc, 1, 64);
+    assert!(clean.verified(), "{}", clean.summary());
+
+    let bad = "  IF xpos = 1 AND ypos = 1 AND xdes = 2 AND ydes = 2 THEN RETURN(0), RETURN(2);\n";
+    let mutant = xy.replace(head, &format!("{head}{bad}"));
+    let report = verify_mesh("xy_mutant", &compiled(&mutant), 3, 3, MeshVcMode::SingleVc, 1, 64);
+    assert!(!report.verified(), "certified a relation with a failed decision in it");
+    assert!(report.failures.is_empty(), "rejected for the failed fire, not for a cycle");
+    let err = report.lift_error.as_deref().unwrap_or_default();
+    assert!(err.contains("rule base `route_msg` failed to fire"), "{err}");
+    assert!(err.contains("fault-free"), "names the fault set: {err}");
+    assert!(report.summary().contains("NOT VERIFIED"), "{}", report.summary());
+}
+
+/// The hypercube analogue: ROUTE_C whose `decide_vc` takes its argmin over
+/// `cands ∩ diffup` in phase 1 — empty there by construction, so the
+/// second interpretation step fails on every phase-1 query. The lift used
+/// to read that failure as "no channel", a smaller relation and a
+/// possibly vacuous proof.
+#[test]
+fn a_cube_program_that_errors_while_deciding_is_never_certified() {
+    let src = ftr_algos::rules_src::route_c_source(4);
+    let needle = "IF phase = 1 AND freevc(1)\n    THEN chosen <- argmin(out_queue, cands),";
+    assert!(src.contains(needle), "ROUTE_C source changed shape");
+    let mutant = src.replace(
+        needle,
+        "IF phase = 1 AND freevc(1)\n    THEN chosen <- argmin(out_queue, isect(cands, diffup)),",
+    );
+    let report = verify_cube("route_c_mutant", &compiled(&mutant), 4, 0, 16);
+    assert!(!report.verified(), "{}", report.summary());
+    assert!(report.failures.is_empty(), "{}", report.summary());
+    let err = report.lift_error.as_deref().unwrap_or_default();
+    assert!(err.contains("rule base `decide_vc` failed to fire"), "{err}");
+    assert!(err.contains("fault-free"), "names the fault set: {err}");
+}

@@ -29,7 +29,7 @@ use ftr_topo::VcId;
 use std::collections::VecDeque;
 
 /// Array-shape parameters shared by [`Channels`] and every [`ChanRef`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Geometry {
     /// Total nodes in the network.
     pub nodes: usize,
@@ -70,9 +70,23 @@ impl Geometry {
     }
 }
 
+/// Ring index `i` reduced into `0..depth`. Every caller passes a head
+/// (`< depth`) plus an offset of at most `depth`, so one conditional
+/// subtraction replaces the runtime division of `i % depth`.
+#[inline]
+fn wrap(i: usize, depth: usize) -> usize {
+    debug_assert!(i < 2 * depth);
+    if i >= depth {
+        i - depth
+    } else {
+        i
+    }
+}
+
 const PLACEHOLDER: Flit = Flit { kind: FlitKind::Body, msg: MessageId(0), seq: 0 };
 
 /// The arena itself — see the module docs for the layout.
+#[cfg_attr(test, derive(Clone, Debug, PartialEq))]
 pub(crate) struct Channels {
     geo: Geometry,
     /// Ring storage: `depth` slots per lane, `lanes` lanes per node.
@@ -150,7 +164,7 @@ impl Channels {
         let l = self.lane(n, ip, iv);
         let (d, head, len) =
             (self.geo.depth, self.fifo_head[l] as usize, self.fifo_len[l] as usize);
-        (0..len).map(move |i| &self.fifo_buf[l * d + (head + i) % d])
+        (0..len).map(move |i| &self.fifo_buf[l * d + wrap(head + i, d)])
     }
 
     pub fn route(&self, n: usize, ip: usize, iv: usize) -> RouteState {
@@ -171,17 +185,6 @@ impl Channels {
 
     pub fn out_reg(&self, n: usize, p: usize) -> Option<&(VcId, Flit)> {
         self.out_reg[n * self.geo.degree + p].as_ref()
-    }
-
-    pub fn out_assigned(&self, n: usize, p: usize) -> u32 {
-        self.out_assigned[n * self.geo.degree + p]
-    }
-
-    /// Whether output VC `(p, v)` of node `n` is allocatable (idle +
-    /// credit) — mirrors [`ChanRef::out_channel_free`].
-    pub fn out_channel_free(&self, n: usize, p: usize, v: usize) -> bool {
-        let c = self.oc(n, p, v);
-        self.out_owner[c].is_none() && self.out_credits[c] > 0
     }
 
     pub fn staging(&self, n: usize) -> &VecDeque<Flit> {
@@ -391,7 +394,7 @@ impl ChanRef<'_> {
         let d = self.geo.depth;
         let len = self.fifo_len[l] as usize;
         assert!(len < d, "VC FIFO overflow: the credit invariant was violated");
-        self.fifo_buf[l * d + (self.fifo_head[l] as usize + len) % d] = f;
+        self.fifo_buf[l * d + wrap(self.fifo_head[l] as usize + len, d)] = f;
         self.fifo_len[l] += 1;
     }
 
@@ -402,7 +405,7 @@ impl ChanRef<'_> {
         }
         let d = self.geo.depth;
         let f = self.fifo_buf[l * d + self.fifo_head[l] as usize];
-        self.fifo_head[l] = ((self.fifo_head[l] as usize + 1) % d) as u32;
+        self.fifo_head[l] = wrap(self.fifo_head[l] as usize + 1, d) as u32;
         self.fifo_len[l] -= 1;
         Some(f)
     }
@@ -428,7 +431,7 @@ impl ChanRef<'_> {
         let l = self.lane(n, ip, iv);
         let (d, head, len) =
             (self.geo.depth, self.fifo_head[l] as usize, self.fifo_len[l] as usize);
-        (0..len).map(move |i| &self.fifo_buf[l * d + (head + i) % d])
+        (0..len).map(move |i| &self.fifo_buf[l * d + wrap(head + i, d)])
     }
 
     /// Keeps only flits matching `pred`, compacting the ring in order.
@@ -439,9 +442,9 @@ impl ChanRef<'_> {
         let len = self.fifo_len[l] as usize;
         let mut kept = 0usize;
         for i in 0..len {
-            let f = self.fifo_buf[l * d + (head + i) % d];
+            let f = self.fifo_buf[l * d + wrap(head + i, d)];
             if pred(&f) {
-                self.fifo_buf[l * d + (head + kept) % d] = f;
+                self.fifo_buf[l * d + wrap(head + kept, d)] = f;
                 kept += 1;
             }
         }
@@ -588,6 +591,7 @@ mod tests {
 
     #[test]
     fn ring_fifo_push_pop_wraps() {
+        // depth 3: two flits per round walk the head around the ring
         let mut ch = Channels::new(Geometry::new(2, 2, 1, 3));
         let mut v = ch.full_mut();
         for round in 0..5u64 {
@@ -598,6 +602,32 @@ mod tests {
             assert_eq!(v.fifo_pop_front(1, 0, 0).unwrap().msg, MessageId(round + 100));
             assert!(v.fifo_pop_front(1, 0, 0).is_none());
         }
+        // a full ring whose head sits at the last slot: the tail wraps to
+        // slot 0 and iteration crosses the seam in FIFO order
+        for s in 0..2 {
+            v.fifo_push_back(0, 1, 0, flit(7, s));
+            v.fifo_pop_front(0, 1, 0);
+        }
+        for s in 0..3 {
+            v.fifo_push_back(0, 1, 0, flit(8, s));
+        }
+        let seqs: Vec<u32> = v.fifo_iter(0, 1, 0).map(|f| f.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(v.fifo_pop_front(0, 1, 0).unwrap().seq, 0);
+        v.fifo_push_back(0, 1, 0, flit(8, 3));
+        let seqs: Vec<u32> = v.fifo_iter(0, 1, 0).map(|f| f.seq).collect();
+        assert_eq!(seqs, vec![1, 2, 3]);
+        // depth 1: every push lands in the only slot, the head wraps to 0
+        let mut ch = Channels::new(Geometry::new(1, 1, 2, 1));
+        let mut v = ch.full_mut();
+        for round in 0..4u64 {
+            v.fifo_push_back(0, 0, 1, flit(round, 0));
+            assert_eq!(v.fifo_len(0, 0, 1), 1);
+            assert_eq!(v.fifo_iter(0, 0, 1).next().unwrap().msg, MessageId(round));
+            assert_eq!(v.fifo_pop_front(0, 0, 1).unwrap().msg, MessageId(round));
+            assert!(v.fifo_pop_front(0, 0, 1).is_none());
+        }
+        assert_eq!(ch.fifo_iter(0, 0, 1).count(), 0);
     }
 
     #[test]
@@ -623,6 +653,33 @@ mod tests {
         v.fifo_retain(0, 0, 0, |f| f.msg != MessageId(2));
         let kept: Vec<_> = v.fifo_iter(0, 0, 0).map(|f| (f.msg.0, f.seq)).collect();
         assert_eq!(kept, vec![(1, 0), (1, 1)]);
+        // head at the last slot: both the read and the compacting write
+        // index cross the seam
+        let mut ch = Channels::new(Geometry::new(1, 1, 1, 4));
+        let mut v = ch.full_mut();
+        for s in 0..3 {
+            v.fifo_push_back(0, 0, 0, flit(9, s));
+            v.fifo_pop_front(0, 0, 0);
+        }
+        for (m, s) in [(2u64, 0u32), (1, 0), (2, 1), (1, 1)] {
+            v.fifo_push_back(0, 0, 0, flit(m, s));
+        }
+        v.fifo_retain(0, 0, 0, |f| f.msg != MessageId(2));
+        let kept: Vec<_> = v.fifo_iter(0, 0, 0).map(|f| (f.msg.0, f.seq)).collect();
+        assert_eq!(kept, vec![(1, 0), (1, 1)]);
+        v.fifo_push_back(0, 0, 0, flit(3, 0));
+        assert_eq!(v.fifo_pop_front(0, 0, 0).unwrap().msg, MessageId(1));
+        assert_eq!(v.fifo_len(0, 0, 0), 2);
+        // depth 1: retain keeps or drops the single flit
+        let mut ch = Channels::new(Geometry::new(1, 1, 1, 1));
+        let mut v = ch.full_mut();
+        v.fifo_push_back(0, 0, 0, flit(4, 0));
+        v.fifo_retain(0, 0, 0, |f| f.msg == MessageId(4));
+        assert_eq!(v.fifo_len(0, 0, 0), 1);
+        v.fifo_retain(0, 0, 0, |_| false);
+        assert_eq!(v.fifo_len(0, 0, 0), 0);
+        v.fifo_push_back(0, 0, 0, flit(5, 0));
+        assert_eq!(v.fifo_pop_front(0, 0, 0).unwrap().msg, MessageId(5));
     }
 
     #[test]

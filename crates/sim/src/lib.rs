@@ -63,6 +63,7 @@ pub mod engine;
 pub mod envlock;
 pub mod fleet;
 pub mod flit;
+mod links;
 pub mod network;
 pub mod plan;
 pub mod router;

@@ -21,6 +21,7 @@
 
 use crate::arena::{ChanRef, Channels, Geometry};
 use crate::flit::{Flit, FlitKind, Header, MessageId};
+use crate::links::LinkMap;
 use crate::plan::{FaultAction, FaultPlan};
 use crate::router::{DecisionPhase, RouteState};
 use crate::routing::{ControlMsg, NodeController, RouterView, RoutingAlgorithm, Verdict};
@@ -103,6 +104,10 @@ struct StepScratch {
     dropped: HashSet<MessageId>,
     /// Control deliveries due this cycle.
     due: Vec<ControlDelivery>,
+    /// The router snapshot behind every control-plane consult (fault and
+    /// repair notifications, ticks, control deliveries), refilled per
+    /// consult by the same [`fill_view`] the shards use.
+    view: ViewData,
 }
 
 /// A flit crossing a shard boundary, parked until the phase barrier.
@@ -116,6 +121,7 @@ struct Handoff {
 /// A statistics update recorded inside a shard and replayed by the master
 /// at the barrier (SimStats is not sharded; all its accumulators commute,
 /// and shard-order replay reproduces the sequential update order).
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum StatOp {
     /// Decision-step count of a newly counted routing decision.
     Decision(u64),
@@ -148,6 +154,8 @@ struct ShardScratch {
     ops: Vec<StatOp>,
     /// Per-input-port "moved a flit this cycle" flags (reused per node).
     used: Vec<bool>,
+    /// Switch-allocation candidates of the node being arbitrated.
+    cands: Vec<Cand>,
     /// Whether this shard moved any flit this cycle.
     moved: bool,
     /// The router snapshot behind every controller consult (and its
@@ -157,8 +165,7 @@ struct ShardScratch {
 
 /// Immutable per-step context shared by every shard.
 struct StepCtx<'a> {
-    topo: &'a dyn Topology,
-    faults: &'a FaultSet,
+    links: &'a LinkMap,
     cfg: SimConfig,
     vcs: usize,
     degree: usize,
@@ -472,6 +479,7 @@ impl NetworkBuilder {
         // contiguous equal-size node ranges: the spatial partition
         let shard_bounds: Vec<usize> = (0..=shards).map(|i| i * n / shards).collect();
         let chans = Channels::new(Geometry::new(n, degree, vcs, cfg.buffer_depth as usize));
+        let links = LinkMap::new(self.topo.as_ref());
         let ctrls = (0..n).map(|i| algo.controller(self.topo.as_ref(), NodeId(i as u32))).collect();
         let stats = SimStats::for_nodes(n);
         Ok(Network {
@@ -479,6 +487,7 @@ impl NetworkBuilder {
             cfg,
             vcs,
             faults: FaultSet::new(),
+            links,
             chans,
             ctrls,
             control: VecDeque::new(),
@@ -519,6 +528,9 @@ pub struct Network {
     cfg: SimConfig,
     vcs: usize,
     faults: FaultSet,
+    /// Wiring and usability of every port, kept in step with `faults` at
+    /// each fault and repair event; the step reads only this.
+    links: LinkMap,
     /// All per-node data-path state (FIFOs, routes, credits, registers).
     chans: Channels,
     ctrls: Vec<Box<dyn NodeController>>,
@@ -676,9 +688,9 @@ impl Network {
             self.stats.rejected_sends += 1;
             return Err(SendError::SelfMessage);
         }
-        let err = if self.faults.node_faulty(src) {
+        let err = if self.links.node_faulty(src) {
             Some(SendError::FaultySource)
-        } else if self.faults.node_faulty(dst) {
+        } else if self.links.node_faulty(dst) {
             Some(SendError::FaultyDestination)
         } else {
             None
@@ -761,9 +773,9 @@ impl Network {
     /// Physical half of a link fault; returns the far endpoint `(m, q)`
     /// when the link exists.
     fn link_fault_physical(&mut self, n: NodeId, p: PortId) -> Option<(NodeId, PortId)> {
-        let m = self.topo.neighbor(n, p)?;
-        let q = self.topo.port_towards(m, n).expect("reverse port");
+        let (m, q) = self.links.far(n, p)?;
         self.faults.fail_link(self.topo.as_ref(), n, p);
+        self.links.refresh_around(self.topo.as_ref(), &self.faults, n);
         self.emit(|| EventKind::LinkFault { node: n, port: p });
 
         let mut dead: HashSet<MessageId> = HashSet::new();
@@ -777,11 +789,7 @@ impl Network {
                 let flits: Vec<Flit> =
                     self.chans.fifo_iter(node.idx(), port.idx(), v).copied().collect();
                 for f in &flits {
-                    let crossed = flits.iter().any(|g| {
-                        g.msg == f.msg
-                            && (matches!(g.kind, FlitKind::Tail)
-                                || matches!(g.kind, FlitKind::Head(h) if h.len_flits <= 1))
-                    });
+                    let crossed = flits.iter().any(|g| g.msg == f.msg && ends_message(g));
                     if !crossed {
                         dead.insert(f.msg);
                     }
@@ -804,12 +812,10 @@ impl Network {
     /// messages destined to it, and notifies all alive neighbours.
     pub fn inject_node_fault(&mut self, n: NodeId) {
         self.node_fault_physical(n);
-        for (p, nb) in self.topo.neighbors(n) {
-            if !self.faults.node_faulty(nb) {
-                let q = self.topo.port_towards(nb, n).expect("reverse");
+        for p in self.topo.ports() {
+            if let Some((nb, q)) = self.links.far(n, p) {
                 self.notify_fault(nb, q);
             }
-            let _ = p;
         }
     }
 
@@ -823,6 +829,7 @@ impl Network {
     /// Physical half of a node fault.
     fn node_fault_physical(&mut self, n: NodeId) {
         self.faults.fail_node(n);
+        self.links.refresh_around(self.topo.as_ref(), &self.faults, n);
         self.emit(|| EventKind::NodeFault { node: n });
         let geo = self.chans.geo();
         let mut dead: HashSet<MessageId> = HashSet::new();
@@ -847,7 +854,7 @@ impl Network {
         // destined to it anywhere in the network
         for node in self.topo.nodes() {
             for p in 0..geo.degree {
-                if self.topo.neighbor(node, PortId(p as u8)) == Some(n) {
+                if self.links.far(node, PortId(p as u8)).is_some_and(|(m, _)| m == n) {
                     for v in 0..geo.vcs {
                         if let Some(owner) = self.chans.out_owner(node.idx(), p, v) {
                             dead.insert(owner);
@@ -912,19 +919,15 @@ impl Network {
     /// Physical half of a link repair; returns the far endpoint `(m, q)`
     /// when the repaired link is usable again (both endpoints alive).
     fn link_repair_physical(&mut self, n: NodeId, p: PortId) -> Option<(NodeId, PortId)> {
-        let m = self.topo.neighbor(n, p)?;
+        let far = self.links.far(n, p)?;
         if !self.faults.link_faulty(self.topo.as_ref(), n, p) {
             return None;
         }
         let l = self.topo.link(n, p)?;
         self.faults.repair_link(l);
+        self.links.refresh_around(self.topo.as_ref(), &self.faults, n);
         self.emit(|| EventKind::LinkRepair { node: n, port: p });
-        if self.faults.link_usable(self.topo.as_ref(), n, p) {
-            let q = self.topo.port_towards(m, n).expect("reverse port");
-            Some((m, q))
-        } else {
-            None
-        }
+        self.links.usable(n, p).then_some(far)
     }
 
     /// Repairs node `n`: re-arms it with a fresh (rebooted) router and
@@ -935,12 +938,13 @@ impl Network {
         if !self.node_repair_physical(n) {
             return;
         }
-        for (p, nb) in self.topo.neighbors(n) {
-            if self.faults.link_usable(self.topo.as_ref(), n, p) {
-                let q = self.topo.port_towards(nb, n).expect("reverse");
-                self.notify_repair(n, p);
-                self.notify_repair(nb, q);
+        for p in self.topo.ports() {
+            if !self.links.usable(n, p) {
+                continue;
             }
+            let (nb, q) = self.links.far(n, p).expect("usable ports are wired");
+            self.notify_repair(n, p);
+            self.notify_repair(nb, q);
         }
     }
 
@@ -952,10 +956,11 @@ impl Network {
 
     /// Physical half of a node repair; true if the node was faulty.
     fn node_repair_physical(&mut self, n: NodeId) -> bool {
-        if !self.faults.node_faulty(n) {
+        if !self.links.node_faulty(n) {
             return false;
         }
         self.faults.repair_node(n);
+        self.links.refresh_around(self.topo.as_ref(), &self.faults, n);
         self.emit(|| EventKind::NodeRepair { node: n });
         // the router hardware comes back empty: fresh buffers, credits and
         // allocation state (everything it held was killed at fault time)
@@ -965,11 +970,11 @@ impl Network {
     }
 
     fn notify_repair(&mut self, node: NodeId, port: PortId) {
-        if self.faults.node_faulty(node) {
+        if self.links.node_faulty(node) {
             return;
         }
-        let view_data = self.view_data(node);
-        let view = view_data.view(node, self.cycle);
+        self.fill_master_view(node);
+        let view = self.scratch.view.view(node, self.cycle);
         let msgs = self.ctrls[node.idx()].on_repair(&view, port);
         self.flush_controller_events(node);
         self.enqueue_control(node, msgs);
@@ -999,7 +1004,7 @@ impl Network {
         let mut out_free = vec![vec![true; self.vcs]; degree];
         let mut link_alive = vec![false; degree];
         for p in 0..degree {
-            let alive = self.faults.link_usable(self.topo.as_ref(), n, PortId(p as u8));
+            let alive = self.links.usable(n, PortId(p as u8));
             link_alive[p] = alive;
             if !alive {
                 out_free[p] = vec![false; self.vcs];
@@ -1017,11 +1022,11 @@ impl Network {
     }
 
     fn notify_fault(&mut self, node: NodeId, port: PortId) {
-        if self.faults.node_faulty(node) {
+        if self.links.node_faulty(node) {
             return;
         }
-        let view_data = self.view_data(node);
-        let view = view_data.view(node, self.cycle);
+        self.fill_master_view(node);
+        let view = self.scratch.view.view(node, self.cycle);
         let msgs = self.ctrls[node.idx()].on_fault(&view, port);
         self.flush_controller_events(node);
         self.enqueue_control(node, msgs);
@@ -1053,14 +1058,13 @@ impl Network {
 
     fn enqueue_control(&mut self, from: NodeId, msgs: Vec<ControlMsg>) {
         for msg in msgs {
-            if !self.faults.link_usable(self.topo.as_ref(), from, msg.port) {
+            if !self.links.usable(from, msg.port) {
                 // control messages need healthy links too; account for the
                 // loss instead of discarding silently
                 self.drop_control(from, msg.port);
                 continue;
             }
-            let to = self.topo.neighbor(from, msg.port).expect("usable link");
-            let from_port = self.topo.port_towards(to, from).expect("reverse");
+            let (to, from_port) = self.links.far(from, msg.port).expect("usable link");
             self.stats.control_msgs += 1;
             self.emit(|| EventKind::ControlSend { from, to });
             if let Some(m) = &self.metrics {
@@ -1205,7 +1209,7 @@ impl Network {
         while self.retries.front().is_some_and(|r| r.due <= self.cycle) {
             let r = self.retries.pop_front().expect("checked");
             let Some(meta) = self.stats.meta(r.id).copied() else { continue };
-            if self.faults.node_faulty(meta.src) || self.faults.node_faulty(meta.dst) {
+            if self.links.node_faulty(meta.src) || self.links.node_faulty(meta.dst) {
                 if r.unroutable {
                     self.stats.on_unroutable(r.id);
                 } else {
@@ -1237,14 +1241,12 @@ impl Network {
     /// Rebuilds credit counters and adaptivity loads from buffer occupancy
     /// (used after worm kills, which invalidate incremental accounting).
     fn recompute_credits_and_loads(&mut self) {
-        let topo = Arc::clone(&self.topo);
         let geo = self.chans.geo();
         let depth = self.cfg.buffer_depth;
         let mut ch = self.chans.full_mut();
-        for n in topo.nodes() {
-            for p in topo.ports() {
-                let Some(m) = topo.neighbor(n, p) else { continue };
-                let q = topo.port_towards(m, n).expect("reverse");
+        for n in self.topo.nodes() {
+            for p in self.topo.ports() {
+                let Some((m, q)) = self.links.far(n, p) else { continue };
                 for v in 0..geo.vcs {
                     let occupied = ch.fifo_len(m.idx(), q.idx(), v) as u32;
                     let in_flight = matches!(ch.out_reg(n.idx(), p.idx()), Some((vc, _)) if vc.idx() == v)
@@ -1270,26 +1272,11 @@ impl Network {
 
     // ------------------------------------------------------------- views
 
-    fn view_data(&self, n: NodeId) -> ViewData {
-        let degree = self.topo.degree();
-        let ni = n.idx();
-        let mut out_free = vec![vec![false; self.vcs]; degree];
-        let mut link_alive = vec![false; degree];
-        for p in 0..degree {
-            let alive = self.faults.link_usable(self.topo.as_ref(), n, PortId(p as u8));
-            link_alive[p] = alive;
-            if alive {
-                for v in 0..self.vcs {
-                    out_free[p][v] = self.chans.out_channel_free(ni, p, v);
-                }
-            }
-        }
-        let mut out_load = vec![0u32; degree];
-        for p in 0..degree {
-            out_load[p] =
-                self.chans.out_assigned(ni, p) + self.chans.out_reg(ni, p).is_some() as u32;
-        }
-        ViewData { out_free, out_load, link_alive }
+    /// Refills the master's reused snapshot of node `n` for a
+    /// control-plane consult.
+    fn fill_master_view(&mut self, n: NodeId) {
+        let (degree, vcs) = (self.topo.degree(), self.vcs);
+        fill_view(&self.links, &self.chans.full_mut(), degree, vcs, n, &mut self.scratch.view);
     }
 
     // -------------------------------------------------------------- step
@@ -1328,11 +1315,11 @@ impl Network {
         if self.cfg.tick_period != 0 && self.cycle.is_multiple_of(self.cfg.tick_period) {
             for i in 0..self.ctrls.len() {
                 let n = NodeId(i as u32);
-                if self.faults.node_faulty(n) {
+                if self.links.node_faulty(n) {
                     continue;
                 }
-                let vd = self.view_data(n);
-                let view = vd.view(n, self.cycle);
+                self.fill_master_view(n);
+                let view = self.scratch.view.view(n, self.cycle);
                 let msgs = self.ctrls[i].on_tick(&view, self.cycle);
                 self.flush_controller_events(n);
                 self.enqueue_control(n, msgs);
@@ -1345,19 +1332,19 @@ impl Network {
             due.push(self.control.pop_front().expect("checked"));
         }
         for d in due.drain(..) {
-            if self.faults.node_faulty(d.to) {
+            if self.links.node_faulty(d.to) {
                 continue;
             }
             // time-of-send vs time-of-delivery: the traversed link (and
             // with it the sender node) must still be usable NOW — a link
             // that died after the send at cycle C never lands its words
             // at C+1
-            if !self.faults.link_usable(self.topo.as_ref(), d.to, d.from_port) {
+            if !self.links.usable(d.to, d.from_port) {
                 self.drop_control(d.to, d.from_port);
                 continue;
             }
-            let vd = self.view_data(d.to);
-            let view = vd.view(d.to, self.cycle);
+            self.fill_master_view(d.to);
+            let view = self.scratch.view.view(d.to, self.cycle);
             let replies = self.ctrls[d.to.idx()].on_control(&view, d.from_port, &d.payload);
             self.flush_controller_events(d.to);
             self.enqueue_control(d.to, replies);
@@ -1456,8 +1443,7 @@ impl Network {
     fn run_phase(&mut self, phase: PhaseKind, cur: &[u32], cur_ext: &[u32]) {
         let degree = self.topo.degree();
         let ctx = StepCtx {
-            topo: self.topo.as_ref(),
-            faults: &self.faults,
+            links: &self.links,
             cfg: self.cfg,
             vcs: self.vcs,
             degree,
@@ -1621,14 +1607,11 @@ impl Network {
     /// so the increments commute; shard order matches the sequential
     /// application order anyway).
     fn apply_credit_returns(&mut self) {
-        let topo = Arc::clone(&self.topo);
         let depth = self.cfg.buffer_depth;
         let mut ch = self.chans.full_mut();
         for scr in &mut self.shard_scratch {
             for &(ni, p, iv) in &scr.credit_returns {
-                let n = NodeId(ni);
-                let Some(m) = topo.neighbor(n, PortId(p)) else { continue };
-                let q = topo.port_towards(m, n).expect("reverse");
+                let Some((m, q)) = self.links.far(NodeId(ni), PortId(p)) else { continue };
                 let c = ch.out_credits(m.idx(), q.idx(), iv as usize);
                 ch.set_out_credits(m.idx(), q.idx(), iv as usize, (c + 1).min(depth));
             }
@@ -1741,14 +1724,13 @@ fn phase_link(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
                 continue;
             };
             let port = PortId(p as u8);
-            if !ctx.faults.link_usable(ctx.topo, n, port) {
+            if !ctx.links.usable(n, port) {
                 // caught on a just-dead link — the master applies the
                 // liveness gate and kills through the normal path
                 t.scr.dropped.push(flit.msg);
                 continue;
             }
-            let m = ctx.topo.neighbor(n, port).expect("usable link");
-            let q = ctx.topo.port_towards(m, n).expect("reverse");
+            let (m, q) = ctx.links.far(n, port).expect("usable link");
             if m.idx() >= t.lo && m.idx() < t.hi {
                 t.ch.fifo_push_back(m.idx(), q.idx(), vc.idx(), flit);
                 t.scr.newly_active.push(m.idx() as u32);
@@ -1778,7 +1760,7 @@ fn phase_inject(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
 fn phase_route(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
     for &ni in t.cur_ext {
         let n = NodeId(ni);
-        if ctx.faults.node_faulty(n) {
+        if ctx.links.node_faulty(n) {
             continue;
         }
         for ip in 0..=ctx.degree {
@@ -1839,7 +1821,7 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
     }
 
     // consult the controller
-    view_data_sh(ctx, &t.ch, n, &mut t.scr.view);
+    fill_view(ctx.links, &t.ch, ctx.degree, ctx.vcs, n, &mut t.scr.view);
     let view = t.scr.view.view(n, ctx.cycle);
     let mut header = header_copy;
     let dec = t.ctrls[ni - t.lo].route(&view, &mut header, in_port, VcId(iv as u8));
@@ -1916,7 +1898,7 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
         Verdict::Route(p, v) => {
             let ok = p.idx() < ctx.degree
                 && v.idx() < ctx.vcs
-                && ctx.faults.link_usable(ctx.topo, n, p)
+                && ctx.links.usable(n, p)
                 && t.ch.out_channel_free(ni, p.idx(), v.idx());
             if !ok {
                 // granted a route but the output channel is unusable
@@ -1950,107 +1932,149 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
 
 /// Ejection then switch allocation over the extended working set.
 fn phase_eject_switch(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
-    let nports = ctx.degree + 1;
     for &ni in t.cur_ext {
-        let n = NodeId(ni);
-        let ni = ni as usize;
-        t.scr.used.clear();
-        t.scr.used.resize(nports, false);
+        eject_switch_node(ctx, &mut t.ch, t.scr, ni as usize);
+    }
+}
 
-        // ejection first (delivery has priority on the input port)
-        for ip in 0..nports {
-            if t.scr.used[ip] {
+/// A lane whose front flit holds an output channel: one switch-allocation
+/// candidate of its node.
+#[derive(Clone, Copy)]
+struct Cand {
+    /// Arbitration slot `ip * vcs + iv` — the round-robin order.
+    slot: usize,
+    ip: usize,
+    iv: usize,
+    /// Output port and VC the lane's message holds.
+    port: usize,
+    ov: VcId,
+    /// The lane's misrouted marker (fairness pass).
+    misrouted: bool,
+}
+
+/// Whether `f` is the last flit of its message.
+#[inline]
+fn ends_message(f: &Flit) -> bool {
+    matches!(f.kind, FlitKind::Tail) || matches!(f.kind, FlitKind::Head(h) if h.len_flits <= 1)
+}
+
+/// Ejection then switch allocation at node `ni`, in one walk over its
+/// lanes.
+///
+/// The walk ejects one flit per input port (the first lane delivering
+/// locally) and collects every lane whose message holds an output channel
+/// and has a flit buffered. Each output port with an empty register then
+/// grants the first eligible candidate at or after its round-robin
+/// pointer, wrapping — the order of a cyclic scan over all
+/// `(degree + 1) · vcs` slots, without probing the empty ones. Eligible
+/// means: input port not used yet this cycle, a credit on the output VC,
+/// and — in a first pass when `prioritize_misrouted` is on — a misrouted
+/// lane. Ports are served in ascending order, since each grant marks its
+/// input port used for the ports after it.
+fn eject_switch_node(ctx: &StepCtx<'_>, ch: &mut ChanRef<'_>, scr: &mut ShardScratch, ni: usize) {
+    let n = NodeId(ni as u32);
+    let nports = ctx.degree + 1;
+    scr.used.clear();
+    scr.used.resize(nports, false);
+    let mut cands = std::mem::take(&mut scr.cands);
+    cands.clear();
+
+    let mut slot = 0;
+    for ip in 0..nports {
+        let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
+        for iv in 0..lanes {
+            let here = slot;
+            slot += 1;
+            if ch.fifo_len(ni, ip, iv) == 0 {
                 continue;
             }
-            let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
-            for iv in 0..lanes {
-                if t.ch.route(ni, ip, iv) != RouteState::Local || t.ch.fifo_len(ni, ip, iv) == 0 {
-                    continue;
-                }
-                let flit = t.ch.fifo_pop_front(ni, ip, iv).expect("checked");
-                t.scr.moved = true;
-                t.scr.used[ip] = true;
-                if let Some(h) = flit.header() {
-                    t.scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
-                }
-                let is_tail = matches!(flit.kind, FlitKind::Tail)
-                    || matches!(flit.kind, FlitKind::Head(h) if h.len_flits <= 1);
-                if is_tail {
-                    t.scr.ops.push(StatOp::Deliver(flit.msg));
-                    emit_sh(ctx, t.scr, || EventKind::Deliver { node: n, msg: flit.msg.0 });
-                    t.ch.reset_route(ni, ip, iv);
-                }
-                if ip < ctx.degree {
-                    t.scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
-                }
-                break; // one flit per input port
-            }
-        }
-
-        // switch: one flit per output port, round-robin over inputs
-        for p in 0..ctx.degree {
-            if t.ch.out_reg(ni, p).is_some() {
-                continue;
-            }
-            let slots = nports * ctx.vcs;
-            let start = t.ch.rr(ni, p) as usize;
-            let mut winner: Option<(usize, usize, VcId)> = None;
-            // two passes when fairness for misrouted messages is on:
-            // first only misrouted candidates, then everyone
-            let passes: &[bool] =
-                if ctx.cfg.prioritize_misrouted { &[true, false] } else { &[false] };
-            'arb: for &misrouted_only in passes {
-                for off in 0..slots {
-                    let s = (start + off) % slots;
-                    let ip = s / ctx.vcs;
-                    let iv = s % ctx.vcs;
-                    let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
-                    if iv >= lanes || t.scr.used[ip] {
-                        continue;
+            match ch.route(ni, ip, iv) {
+                // ejection first (delivery has priority on the input port)
+                RouteState::Local if !scr.used[ip] => {
+                    let flit = ch.fifo_pop_front(ni, ip, iv).expect("checked");
+                    scr.moved = true;
+                    scr.used[ip] = true;
+                    if let Some(h) = flit.header() {
+                        scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
                     }
-                    if misrouted_only && !t.ch.misrouted(ni, ip, iv) {
-                        continue;
+                    if ends_message(&flit) {
+                        scr.ops.push(StatOp::Deliver(flit.msg));
+                        emit_sh(ctx, scr, || EventKind::Deliver { node: n, msg: flit.msg.0 });
+                        ch.reset_route(ni, ip, iv);
                     }
-                    let RouteState::Out(op, ov) = t.ch.route(ni, ip, iv) else { continue };
-                    if op.idx() != p || t.ch.fifo_len(ni, ip, iv) == 0 {
-                        continue;
+                    if ip < ctx.degree {
+                        scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
                     }
-                    if t.ch.out_credits(ni, p, ov.idx()) == 0 {
-                        continue;
-                    }
-                    winner = Some((ip, iv, ov));
-                    t.ch.set_rr(ni, p, ((s + 1) % slots) as u32);
-                    break 'arb;
                 }
-            }
-            let Some((ip, iv, ov)) = winner else { continue };
-            t.scr.used[ip] = true;
-            let mut flit = t.ch.fifo_pop_front(ni, ip, iv).expect("winner has flit");
-            t.scr.moved = true;
-            if let Some(h) = flit.header_mut() {
-                h.hops += 1;
-            }
-            let is_tail = matches!(flit.kind, FlitKind::Tail)
-                || matches!(flit.kind, FlitKind::Head(h) if h.len_flits <= 1);
-            if is_tail {
-                t.ch.reset_route(ni, ip, iv);
-                t.ch.set_out_owner(ni, p, ov.idx(), None);
-                emit_sh(ctx, t.scr, || EventKind::VcRelease {
-                    node: n,
-                    msg: flit.msg.0,
-                    port: PortId(p as u8),
-                    vc: ov,
-                });
-            }
-            let c = t.ch.out_credits(ni, p, ov.idx());
-            t.ch.set_out_credits(ni, p, ov.idx(), c - 1);
-            t.ch.sub_out_assigned_sat(ni, p, 1);
-            t.ch.set_out_reg(ni, p, Some((ov, flit)));
-            if ip < ctx.degree {
-                t.scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
+                RouteState::Out(p, ov) => cands.push(Cand {
+                    slot: here,
+                    ip,
+                    iv,
+                    port: p.idx(),
+                    ov,
+                    misrouted: ch.misrouted(ni, ip, iv),
+                }),
+                _ => {}
             }
         }
     }
+
+    // switch: one flit per output port, round-robin over inputs; the
+    // stable sort keeps each port's candidates in slot order
+    let slots = nports * ctx.vcs;
+    cands.sort_by_key(|c| c.port);
+    let mut rest = cands.as_slice();
+    while let Some(first) = rest.first() {
+        let p = first.port;
+        let len = rest.iter().position(|c| c.port != p).unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        if ch.out_reg(ni, p).is_some() {
+            continue;
+        }
+        let start = ch.rr(ni, p) as usize;
+        let wrap_at = run.partition_point(|c| c.slot < start);
+        let pick = |misrouted_only: bool| {
+            run[wrap_at..].iter().chain(&run[..wrap_at]).copied().find(|c| {
+                !scr.used[c.ip]
+                    && (c.misrouted || !misrouted_only)
+                    && ch.out_credits(ni, p, c.ov.idx()) > 0
+            })
+        };
+        // two passes when fairness for misrouted messages is on: first
+        // only misrouted candidates, then everyone
+        let winner = if ctx.cfg.prioritize_misrouted {
+            pick(true).or_else(|| pick(false))
+        } else {
+            pick(false)
+        };
+        let Some(Cand { slot, ip, iv, ov, .. }) = winner else { continue };
+        ch.set_rr(ni, p, if slot + 1 == slots { 0 } else { slot + 1 } as u32);
+        scr.used[ip] = true;
+        let mut flit = ch.fifo_pop_front(ni, ip, iv).expect("winner has flit");
+        scr.moved = true;
+        if let Some(h) = flit.header_mut() {
+            h.hops += 1;
+        }
+        if ends_message(&flit) {
+            ch.reset_route(ni, ip, iv);
+            ch.set_out_owner(ni, p, ov.idx(), None);
+            emit_sh(ctx, scr, || EventKind::VcRelease {
+                node: n,
+                msg: flit.msg.0,
+                port: PortId(p as u8),
+                vc: ov,
+            });
+        }
+        let c = ch.out_credits(ni, p, ov.idx());
+        ch.set_out_credits(ni, p, ov.idx(), c - 1);
+        ch.sub_out_assigned_sat(ni, p, 1);
+        ch.set_out_reg(ni, p, Some((ov, flit)));
+        if ip < ctx.degree {
+            scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
+        }
+    }
+    scr.cands = cands;
 }
 
 /// Shard-side trace emission: buffers the event for the barrier flush
@@ -2062,16 +2086,24 @@ fn emit_sh(ctx: &StepCtx<'_>, scr: &mut ShardScratch, kind: impl FnOnce() -> Eve
     }
 }
 
-/// Shard-side [`ViewData`] snapshot of node `n` into the shard's reused
-/// buffer — same contents as the master's `Network::view_data`, reading
-/// through the shard's arena view.
-fn view_data_sh(ctx: &StepCtx<'_>, ch: &ChanRef<'_>, n: NodeId, vd: &mut ViewData) {
+/// Fills `vd` with the [`RouterView`] snapshot of node `n`: link status
+/// from the link map, free flags and loads from the arena view. The one
+/// definition of the snapshot, behind every controller consult — the
+/// shards' routing decisions and the master's control-plane hooks alike.
+fn fill_view(
+    links: &LinkMap,
+    ch: &ChanRef<'_>,
+    degree: usize,
+    vcs: usize,
+    n: NodeId,
+    vd: &mut ViewData,
+) {
     let ni = n.idx();
-    vd.shape(ctx.degree, ctx.vcs);
-    for p in 0..ctx.degree {
-        let alive = ctx.faults.link_usable(ctx.topo, n, PortId(p as u8));
+    vd.shape(degree, vcs);
+    for p in 0..degree {
+        let alive = links.usable(n, PortId(p as u8));
         vd.link_alive[p] = alive;
-        for v in 0..ctx.vcs {
+        for v in 0..vcs {
             vd.out_free[p][v] = alive && ch.out_channel_free(ni, p, v);
         }
         vd.out_load[p] = ch.out_assigned(ni, p) + ch.out_reg(ni, p).is_some() as u32;
@@ -2592,8 +2624,10 @@ mod tests {
         }
         assert!(net.output_register_occupied(hot, EAST), "worm must reach the link");
         // rip the link out from under the engine without killing the worm
+        // (the link map follows the fault set, as at every mutation site)
         let t = Arc::clone(&net.topo);
         net.faults.fail_link(t.as_ref(), hot, EAST);
+        net.links.refresh_around(t.as_ref(), &net.faults, hot);
         net.step();
         assert_eq!(net.stats.flits_dropped_on_dead_link, 1);
         assert_eq!(net.stats.killed_msgs, 1, "message killed through the normal path");
@@ -2790,5 +2824,362 @@ mod tests {
         // and restoring the per-step cost brings the waiting cycles back:
         // steps=3, cps=1 → 2 waiting cycles at each of the 3 decisions
         assert_eq!(solo_latency(3, 1) - solo_latency(3, 0), 6);
+    }
+
+    // ------------------------------------------------ switch allocation
+
+    /// The switch allocator as it was before the lane walk, kept verbatim
+    /// as the oracle of the equivalence property below: ejection per input
+    /// port, then for every free output port a cyclic scan over all
+    /// `(degree + 1) · vcs` input slots from the port's round-robin
+    /// pointer.
+    fn eject_switch_node_scan(
+        ctx: &StepCtx<'_>,
+        ch: &mut ChanRef<'_>,
+        scr: &mut ShardScratch,
+        ni: usize,
+    ) {
+        let n = NodeId(ni as u32);
+        let nports = ctx.degree + 1;
+        scr.used.clear();
+        scr.used.resize(nports, false);
+        for ip in 0..nports {
+            if scr.used[ip] {
+                continue;
+            }
+            let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
+            for iv in 0..lanes {
+                if ch.route(ni, ip, iv) != RouteState::Local || ch.fifo_len(ni, ip, iv) == 0 {
+                    continue;
+                }
+                let flit = ch.fifo_pop_front(ni, ip, iv).expect("checked");
+                scr.moved = true;
+                scr.used[ip] = true;
+                if let Some(h) = flit.header() {
+                    scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
+                }
+                let is_tail = matches!(flit.kind, FlitKind::Tail)
+                    || matches!(flit.kind, FlitKind::Head(h) if h.len_flits <= 1);
+                if is_tail {
+                    scr.ops.push(StatOp::Deliver(flit.msg));
+                    emit_sh(ctx, scr, || EventKind::Deliver { node: n, msg: flit.msg.0 });
+                    ch.reset_route(ni, ip, iv);
+                }
+                if ip < ctx.degree {
+                    scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
+                }
+                break;
+            }
+        }
+        for p in 0..ctx.degree {
+            if ch.out_reg(ni, p).is_some() {
+                continue;
+            }
+            let slots = nports * ctx.vcs;
+            let start = ch.rr(ni, p) as usize;
+            let mut winner: Option<(usize, usize, VcId)> = None;
+            let passes: &[bool] =
+                if ctx.cfg.prioritize_misrouted { &[true, false] } else { &[false] };
+            'arb: for &misrouted_only in passes {
+                for off in 0..slots {
+                    let s = (start + off) % slots;
+                    let ip = s / ctx.vcs;
+                    let iv = s % ctx.vcs;
+                    let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
+                    if iv >= lanes || scr.used[ip] {
+                        continue;
+                    }
+                    if misrouted_only && !ch.misrouted(ni, ip, iv) {
+                        continue;
+                    }
+                    let RouteState::Out(op, ov) = ch.route(ni, ip, iv) else { continue };
+                    if op.idx() != p || ch.fifo_len(ni, ip, iv) == 0 {
+                        continue;
+                    }
+                    if ch.out_credits(ni, p, ov.idx()) == 0 {
+                        continue;
+                    }
+                    winner = Some((ip, iv, ov));
+                    ch.set_rr(ni, p, ((s + 1) % slots) as u32);
+                    break 'arb;
+                }
+            }
+            let Some((ip, iv, ov)) = winner else { continue };
+            scr.used[ip] = true;
+            let mut flit = ch.fifo_pop_front(ni, ip, iv).expect("winner has flit");
+            scr.moved = true;
+            if let Some(h) = flit.header_mut() {
+                h.hops += 1;
+            }
+            let is_tail = matches!(flit.kind, FlitKind::Tail)
+                || matches!(flit.kind, FlitKind::Head(h) if h.len_flits <= 1);
+            if is_tail {
+                ch.reset_route(ni, ip, iv);
+                ch.set_out_owner(ni, p, ov.idx(), None);
+                emit_sh(ctx, scr, || EventKind::VcRelease {
+                    node: n,
+                    msg: flit.msg.0,
+                    port: PortId(p as u8),
+                    vc: ov,
+                });
+            }
+            let c = ch.out_credits(ni, p, ov.idx());
+            ch.set_out_credits(ni, p, ov.idx(), c - 1);
+            ch.sub_out_assigned_sat(ni, p, 1);
+            ch.set_out_reg(ni, p, Some((ov, flit)));
+            if ip < ctx.degree {
+                scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
+            }
+        }
+    }
+
+    /// One node of `degree` ports × `vcs` VCs in a random lane state:
+    /// FIFO contents (heads of random length and misroute marker, bodies,
+    /// tails), routes, lane misrouted flags, credits, output owners and
+    /// registers, round-robin pointers (phantom injection slots included)
+    /// and output loads. The occupancy level varies per draw so sparse and
+    /// saturated nodes both appear.
+    fn random_node(rng: &mut ftr_topo::SimpleRng, degree: usize, vcs: usize) -> Channels {
+        let depth = 1 + rng.below(4);
+        let geo = Geometry::new(1, degree, vcs, depth);
+        let mut chans = Channels::new(geo);
+        let mut ch = chans.full_mut();
+        let sparsity = 1 + rng.below(4);
+        let mut msg = 0u64;
+        for ip in 0..=degree {
+            for iv in 0..geo.vcs_at(ip) {
+                let len = if rng.below(sparsity) == 0 { 1 + rng.below(depth) } else { 0 };
+                for seq in 0..len {
+                    msg += 1;
+                    let kind = match rng.below(3) {
+                        0 => {
+                            let mut h = Header::new(
+                                MessageId(msg),
+                                NodeId(0),
+                                NodeId(1),
+                                1 + rng.below(4) as u32,
+                            );
+                            h.misrouted = rng.below(2) == 0;
+                            h.hops = rng.below(5) as u32;
+                            FlitKind::Head(h)
+                        }
+                        1 => FlitKind::Body,
+                        _ => FlitKind::Tail,
+                    };
+                    ch.fifo_push_back(
+                        0,
+                        ip,
+                        iv,
+                        Flit { kind, msg: MessageId(msg), seq: seq as u32 },
+                    );
+                }
+                let route = match rng.below(5) {
+                    0 => RouteState::Unrouted,
+                    1 => RouteState::Local,
+                    _ => {
+                        RouteState::Out(PortId(rng.below(degree) as u8), VcId(rng.below(vcs) as u8))
+                    }
+                };
+                ch.set_route(0, ip, iv, route);
+                ch.set_misrouted(0, ip, iv, rng.below(3) == 0);
+            }
+        }
+        for p in 0..degree {
+            for v in 0..vcs {
+                ch.set_out_credits(0, p, v, rng.below(depth + 1) as u32);
+                if rng.below(2) == 0 {
+                    ch.set_out_owner(0, p, v, Some(MessageId(rng.below(64) as u64)));
+                }
+            }
+            if rng.below(4) == 0 {
+                let f = Flit { kind: FlitKind::Body, msg: MessageId(u64::MAX), seq: 0 };
+                ch.set_out_reg(0, p, Some((VcId(rng.below(vcs) as u8), f)));
+            }
+            ch.set_rr(0, p, rng.below((degree + 1) * vcs) as u32);
+            ch.set_out_assigned(0, p, rng.below(9) as u32);
+        }
+        chans
+    }
+
+    /// Runs the lane-walk allocator and the slot-scan oracle side by side
+    /// on one random node for several cycles (output registers drained
+    /// between them, so round-robin pointers advance and rotate) and
+    /// requires identical arena state and identical side effects.
+    fn allocators_agree(
+        seed: u64,
+        degree: usize,
+        vcs: usize,
+        prioritize: bool,
+    ) -> Result<(), TestCaseError> {
+        let mut rng = ftr_topo::SimpleRng::new(seed);
+        // the allocator never reads the link map; any map of this degree
+        let links = LinkMap::new(&ftr_topo::Hypercube::new(degree as u32));
+        let cfg = SimConfig { prioritize_misrouted: prioritize, ..Default::default() };
+        let ctx = StepCtx { links: &links, cfg, vcs, degree, cycle: 7, sink_on: true };
+        let mut walk = random_node(&mut rng, degree, vcs);
+        let mut scan = walk.clone();
+        let (mut sw, mut ss) = (ShardScratch::default(), ShardScratch::default());
+        for round in 0..4 {
+            eject_switch_node(&ctx, &mut walk.full_mut(), &mut sw, 0);
+            eject_switch_node_scan(&ctx, &mut scan.full_mut(), &mut ss, 0);
+            prop_assert_eq!(&walk, &scan, "arena state, round {}", round);
+            prop_assert_eq!(&sw.ops, &ss.ops, "stats ops, round {}", round);
+            prop_assert_eq!(&sw.events, &ss.events, "trace events, round {}", round);
+            prop_assert_eq!(&sw.credit_returns, &ss.credit_returns, "credits, round {}", round);
+            prop_assert_eq!(sw.moved, ss.moved, "moved, round {}", round);
+            for p in 0..degree {
+                walk.full_mut().set_out_reg(0, p, None);
+                scan.full_mut().set_out_reg(0, p, None);
+            }
+        }
+        Ok(())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn allocator_matches_slot_scan_on_mesh_shapes(
+            seed in any::<u64>(),
+            vcs in 1usize..3,
+            prioritize in any::<bool>(),
+        ) {
+            allocators_agree(seed, 4, vcs, prioritize)?;
+        }
+
+        #[test]
+        fn allocator_matches_slot_scan_on_6_cube_with_5_vcs(
+            seed in any::<u64>(),
+            prioritize in any::<bool>(),
+        ) {
+            allocators_agree(seed, 6, 5, prioritize)?;
+        }
+
+        /// `(degree + 1) · vcs = 72` slots: more than one 64-bit word.
+        #[test]
+        fn allocator_matches_slot_scan_beyond_64_slots(
+            seed in any::<u64>(),
+            prioritize in any::<bool>(),
+        ) {
+            allocators_agree(seed, 8, 8, prioritize)?;
+        }
+    }
+
+    #[test]
+    fn misrouted_first_pass_overrides_round_robin() {
+        // two lanes want east; the pointer favours the direct one, the
+        // fairness pass grants the misrouted one
+        let topo = Mesh2D::new(2, 2);
+        let links = LinkMap::new(&topo);
+        let grant = |prioritize: bool| {
+            let mut chans = Channels::new(Geometry::new(1, 4, 1, 2));
+            let mut ch = chans.full_mut();
+            for (ip, msg, misrouted) in [(1usize, 1u64, false), (2, 2, true)] {
+                let f = Flit { kind: FlitKind::Body, msg: MessageId(msg), seq: 1 };
+                ch.fifo_push_back(0, ip, 0, f);
+                ch.set_route(0, ip, 0, RouteState::Out(EAST, VcId(0)));
+                ch.set_misrouted(0, ip, 0, misrouted);
+            }
+            ch.set_rr(0, EAST.idx(), 1);
+            let cfg = SimConfig { prioritize_misrouted: prioritize, ..Default::default() };
+            let ctx = StepCtx { links: &links, cfg, vcs: 1, degree: 4, cycle: 0, sink_on: false };
+            let mut scr = ShardScratch::default();
+            eject_switch_node(&ctx, &mut ch, &mut scr, 0);
+            let (granted, rr) =
+                (ch.out_reg(0, EAST.idx()).map(|(_, f)| f.msg), ch.rr(0, EAST.idx()));
+            (granted, rr)
+        };
+        assert_eq!(grant(false), (Some(MessageId(1)), 2), "round-robin from slot 1");
+        assert_eq!(grant(true), (Some(MessageId(2)), 3), "misrouted lane first");
+    }
+
+    // --------------------------------------------------------- link map
+
+    /// The map's wiring equals `neighbor` + `port_towards` on every
+    /// topology family, boundary and wrap-around ports included.
+    #[test]
+    fn link_map_wiring_matches_topology() {
+        let topos: Vec<Box<dyn Topology>> = vec![
+            Box::new(Mesh2D::new(5, 3)),
+            Box::new(ftr_topo::Hypercube::new(5)),
+            Box::new(ftr_topo::Torus2D::new(3, 4)),
+            Box::new(ftr_topo::KAryNCube::mesh(3, 3)),
+            Box::new(ftr_topo::KAryNCube::torus(3, 2)),
+        ];
+        for topo in &topos {
+            let links = LinkMap::new(topo.as_ref());
+            for n in topo.nodes() {
+                for p in 0..=topo.degree() {
+                    let p = PortId(p as u8);
+                    let want = topo.neighbor(n, p).map(|m| (m, topo.port_towards(m, n).unwrap()));
+                    assert_eq!(links.far(n, p), want, "{} {n} {p:?}", topo.name());
+                    assert_eq!(links.usable(n, p), want.is_some());
+                }
+            }
+        }
+    }
+
+    /// Asserts the link map equals the fault set on every `(node, port)`.
+    fn assert_map_coherent(net: &Network, when: &str) {
+        for n in net.topo.nodes() {
+            assert_eq!(net.links.node_faulty(n), net.faults.node_faulty(n), "{when}: node {n}");
+            for p in 0..=net.topo.degree() {
+                let p = PortId(p as u8);
+                assert_eq!(
+                    net.links.usable(n, p),
+                    net.faults.link_usable(net.topo.as_ref(), n, p),
+                    "{when}: ({n}, {p:?})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn link_map_follows_mixed_fault_plan() {
+        let topo = Arc::new(Mesh2D::new(4, 4));
+        let (a, b, c) = (topo.node_at(1, 1), topo.node_at(2, 1), topo.node_at(2, 2));
+        let corner = topo.node_at(0, 0);
+        use FaultAction::*;
+        let actions = [
+            FailLink(a, EAST),
+            FailNodeSilent(b),
+            // repaired while its far endpoint b is still dead: stays unusable
+            RepairLink(a, EAST),
+            FailNode(c),
+            // b comes back next to its dead north neighbour c
+            RepairNodeSilent(b),
+            FailLinkSilent(b, EAST),
+            // a link at a dead node fails and repairs underneath it
+            FailLink(c, NORTH),
+            RepairLinkSilent(b, EAST),
+            RepairNode(c),
+            RepairLink(c, NORTH),
+            // unwired port: no-op
+            FailLink(corner, WEST),
+            FailNodeSilent(a),
+            FailNode(b),
+            RepairNode(a),
+            RepairNodeSilent(b),
+        ];
+        let mut plan = FaultPlan::new();
+        for (i, &act) in actions.iter().enumerate() {
+            plan = plan.at(2 * i as u64 + 1, act);
+        }
+        let algo = Xy { mesh: (*topo).clone(), steps: 1 };
+        let mut net = Network::builder(topo.clone()).fault_plan(plan).build(&algo).expect("valid");
+        let mut tf = TrafficSource::new(Pattern::Uniform, 0.2, 4, 3);
+        assert_map_coherent(&net, "build");
+        for _ in 0..2 * actions.len() + 2 {
+            for (s, d, l) in tf.tick(topo.as_ref(), net.faults()) {
+                let _ = net.send(s, d, l);
+            }
+            net.step();
+            assert_map_coherent(&net, &format!("cycle {}", net.cycle()));
+        }
+        assert!(net.faults().is_empty(), "every fault was repaired");
+        assert!(net.drain(5_000));
+        assert!(net.stats.accounting_balanced());
     }
 }

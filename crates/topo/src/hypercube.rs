@@ -66,6 +66,17 @@ impl Topology for Hypercube {
     fn min_distance(&self, a: NodeId, b: NodeId) -> u32 {
         self.diff(a, b).count_ones()
     }
+
+    /// Port `p` flips bit `p`, so it leads back through the same port.
+    fn far_ends(&self, nodes: &mut [u32], ports: &mut [u8]) {
+        let d = self.dim as usize;
+        for n in 0..self.num_nodes() {
+            for p in 0..d {
+                nodes[n * d + p] = (n ^ (1 << p)) as u32;
+                ports[n * d + p] = p as u8;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

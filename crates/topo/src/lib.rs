@@ -110,6 +110,36 @@ pub trait Topology: Send + Sync {
     fn neighbors(&self, n: NodeId) -> Vec<(PortId, NodeId)> {
         self.ports().filter_map(|p| self.neighbor(n, p).map(|m| (p, m))).collect()
     }
+
+    /// The far end of every port at once, node-major (entry
+    /// `n * degree() + p`): the neighbour's id in `nodes` (`u32::MAX` for
+    /// an unwired port) and, in `ports`, its port leading back — what
+    /// [`Topology::neighbor`] and [`Topology::port_towards`] return port
+    /// by port. Both slices hold `num_nodes() * degree()` entries;
+    /// `ports` is left as it is at unwired ports. One call replaces a
+    /// virtual `neighbor` and `port_towards` scan per port (the default
+    /// body is compiled per topology); closed-form topologies override it.
+    fn far_ends(&self, nodes: &mut [u32], ports: &mut [u8]) {
+        let d = self.degree();
+        for n in self.nodes() {
+            for p in self.ports() {
+                nodes[n.idx() * d + p.idx()] = self.neighbor(n, p).map_or(u32::MAX, |m| m.0);
+            }
+        }
+        // the first port of the neighbour that leads back, read from the
+        // table just built
+        for n in 0..self.num_nodes() {
+            for i in n * d..(n + 1) * d {
+                let m = nodes[i];
+                if m == u32::MAX {
+                    continue;
+                }
+                let back = &nodes[m as usize * d..(m as usize + 1) * d];
+                let q = back.iter().position(|&x| x == n as u32);
+                ports[i] = q.expect("topology links are undirected") as u8;
+            }
+        }
+    }
 }
 
 /// Concrete iterator over consecutively-numbered ids, used by the provided
@@ -158,6 +188,35 @@ mod tests {
                 assert_eq!(m.port_towards(n, other), Some(p));
                 let q = m.reverse_port(n, p).unwrap();
                 assert_eq!(m.neighbor(other, q), Some(n));
+            }
+        }
+    }
+
+    #[test]
+    fn far_ends_match_neighbor_and_port_towards() {
+        let topos: Vec<Box<dyn Topology>> = vec![
+            Box::new(Mesh2D::new(5, 3)),
+            Box::new(Mesh2D::new(1, 4)),
+            Box::new(crate::Hypercube::new(4)),
+            Box::new(crate::Torus2D::new(3, 4)),
+            Box::new(crate::KAryNCube::mesh(3, 2)),
+            Box::new(crate::KAryNCube::torus(4, 2)),
+        ];
+        for t in &topos {
+            let len = t.num_nodes() * t.degree();
+            let (mut nodes, mut ports) = (vec![0u32; len], vec![0u8; len]);
+            t.far_ends(&mut nodes, &mut ports);
+            for n in t.nodes() {
+                for p in t.ports() {
+                    let i = n.idx() * t.degree() + p.idx();
+                    match t.neighbor(n, p) {
+                        None => assert_eq!(nodes[i], u32::MAX, "{} {n} {p:?}", t.name()),
+                        Some(m) => {
+                            assert_eq!(nodes[i], m.0, "{} {n} {p:?}", t.name());
+                            assert_eq!(Some(PortId(ports[i])), t.port_towards(m, n));
+                        }
+                    }
+                }
             }
         }
     }

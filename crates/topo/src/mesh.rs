@@ -117,6 +117,33 @@ impl Topology for Mesh2D {
         let (dx, dy) = self.offset(a, b);
         dx.unsigned_abs() + dy.unsigned_abs()
     }
+
+    /// Row by row, without the per-port coordinate division of
+    /// [`Topology::neighbor`]; each direction leads back through its
+    /// opposite.
+    fn far_ends(&self, nodes: &mut [u32], ports: &mut [u8]) {
+        let (w, h) = (self.width, self.height);
+        for y in 0..h {
+            for x in 0..w {
+                let n = y * w + x;
+                let i = n as usize * 4;
+                let links = [
+                    (EAST, WEST, x + 1 < w, n + 1),
+                    (WEST, EAST, x > 0, n.wrapping_sub(1)),
+                    (NORTH, SOUTH, y + 1 < h, n + w),
+                    (SOUTH, NORTH, y > 0, n.wrapping_sub(w)),
+                ];
+                for (p, back, wired, m) in links {
+                    if wired {
+                        nodes[i + p.idx()] = m;
+                        ports[i + p.idx()] = back.0;
+                    } else {
+                        nodes[i + p.idx()] = u32::MAX;
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
