@@ -75,8 +75,9 @@ pub struct DeadlockReport {
     /// Scenarios with a dependency cycle (empty ⇒ deadlock-free for every
     /// checked scenario).
     pub failures: Vec<CycleWitness>,
-    /// Why the lift could not drive the program, naming the input it
-    /// failed to load. A relation the lift could not build completely
+    /// Why the lift could not drive the program: the rule base or the
+    /// inputs it lacks, an input the lift failed to load, or a rule base
+    /// that failed to fire. A relation the lift could not build completely
     /// proves nothing, so a set value rejects the proof.
     pub lift_error: Option<String>,
 }
@@ -245,6 +246,25 @@ impl MeshProgramLift {
     /// any; the relation built meanwhile is incomplete.
     pub fn take_error(&self) -> Option<String> {
         self.error.borrow_mut().take()
+    }
+
+    /// What the program lacks for the lift to drive it at all, if
+    /// anything. Without an entry base nothing fires, and without a
+    /// destination input every query reads the same; either way the
+    /// relation comes out empty and its proof vacuous.
+    fn undrivable(&self) -> Option<String> {
+        let s = &self.slots;
+        if s.entry.is_none() {
+            Some("the program has no rule base for the mesh lift to enter".into())
+        } else if s.xdes.is_none() && s.ydes.is_none() {
+            Some(
+                "the program declares neither `xdes` nor `ydes`, the inputs through which \
+                 the mesh lift states the destination"
+                    .into(),
+            )
+        } else {
+            None
+        }
     }
 
     fn write_reg(machine: &mut Machine, reg: Option<usize>, v: Value) {
@@ -524,6 +544,32 @@ impl CubeProgramLift {
         self.error.borrow_mut().take()
     }
 
+    /// What the program lacks for the lift to drive it at all, if
+    /// anything: either interpretation step's rule base, or both
+    /// destination inputs. Without them the relation comes out empty and
+    /// its proof vacuous.
+    fn undrivable(&self) -> Option<String> {
+        let s = &self.slots;
+        let bases: Vec<&str> = [("decide_dir", s.decide_dir), ("decide_vc", s.decide_vc)]
+            .into_iter()
+            .filter_map(|(name, slot)| slot.is_none().then_some(name))
+            .collect();
+        if !bases.is_empty() {
+            Some(format!(
+                "the program has no `{}` rule base for the hypercube lift to fire",
+                bases.join("`, `")
+            ))
+        } else if s.diffup.is_none() && s.diffdown.is_none() {
+            Some(
+                "the program declares neither `diffup` nor `diffdown`, the inputs through \
+                 which the hypercube lift states the destination"
+                    .into(),
+            )
+        } else {
+            None
+        }
+    }
+
     fn dims_set(&self, mask: u64) -> Value {
         Value::Set { dom: ftr_rules::Domain::Int { lo: 0, hi: self.cube.dim() as i64 - 1 }, mask }
     }
@@ -734,8 +780,11 @@ pub fn verify_mesh(
         num_vcs: lift.num_vcs(),
         fault_sets_checked: 0,
         failures: Vec::new(),
-        lift_error: None,
+        lift_error: lift.undrivable(),
     };
+    if report.lift_error.is_some() {
+        return report;
+    }
     for set in &sets {
         let mut faults = FaultSet::new();
         for &(n, p) in set {
@@ -773,8 +822,11 @@ pub fn verify_cube(
         num_vcs: 5,
         fault_sets_checked: 0,
         failures: Vec::new(),
-        lift_error: None,
+        lift_error: lift.undrivable(),
     };
+    if report.lift_error.is_some() {
+        return report;
+    }
     for set in &sets {
         let mut faults = FaultSet::new();
         for &(n, p) in set {

@@ -165,3 +165,53 @@ fn a_cube_program_that_errors_while_deciding_is_never_certified() {
     assert!(err.contains("rule base `decide_vc` failed to fire"), "{err}");
     assert!(err.contains("fault-free"), "names the fault set: {err}");
 }
+
+/// A program the mesh lift cannot drive at all — the hypercube programs,
+/// which state the destination through `diffup`/`diffdown` and enter at
+/// a set-valued `decide_dir` — yields an empty relation. Its "proof" is
+/// vacuous, so it is rejected and the report names what is missing.
+#[test]
+fn cube_programs_are_not_certified_on_a_mesh() {
+    for name in ["route_c", "route_c_nft"] {
+        for mode in [MeshVcMode::SingleVc, MeshVcMode::NaraPair] {
+            let report = verify_mesh(name, &shipped(name), 3, 3, mode, 1, 64);
+            assert!(!report.verified(), "{}", report.summary());
+            assert!(report.failures.is_empty(), "{}", report.summary());
+            assert_eq!(report.fault_sets_checked, 0, "rejected before any scenario");
+            let err = report.lift_error.as_deref().unwrap_or_default();
+            assert!(err.contains("neither `xdes` nor `ydes`"), "{name}: {err}");
+            assert!(report.summary().contains("NOT VERIFIED"), "{}", report.summary());
+        }
+    }
+}
+
+/// The hypercube direction: the mesh programs have no `decide_dir` (nor
+/// `decide_vc`) for the cube lift to fire, and ROUTE_C's non-fault-
+/// tolerant variant has no `decide_vc`; each used to read as
+/// "deadlock-free on hypercube d=4" over an empty relation.
+#[test]
+fn programs_without_the_cube_rule_bases_are_not_certified_on_a_cube() {
+    for (name, missing) in [
+        ("xy", "`decide_dir`, `decide_vc`"),
+        ("west_first", "`decide_dir`, `decide_vc`"),
+        ("nafta", "`decide_dir`, `decide_vc`"),
+        ("naive_adaptive", "`decide_dir`, `decide_vc`"),
+        ("route_c_nft", "`decide_vc`"),
+    ] {
+        let report = verify_cube(name, &shipped(name), 4, 0, 16);
+        assert!(!report.verified(), "{}", report.summary());
+        assert!(report.failures.is_empty(), "{}", report.summary());
+        let err = report.lift_error.as_deref().unwrap_or_default();
+        assert!(err.contains(&format!("no {missing} rule base")), "{name}: {err}");
+    }
+    // both bases present but no destination input: still undrivable
+    let src = ftr_algos::rules_src::route_c_source(4)
+        .replace("diffup", "upset")
+        .replace("diffdown", "downset");
+    let report = verify_cube("route_c_renamed", &compiled(&src), 4, 0, 16);
+    let err = report.lift_error.as_deref().unwrap_or_default();
+    assert!(err.contains("neither `diffup` nor `diffdown`"), "{err}");
+    // the drivable program still verifies
+    let c = compiled(&ftr_algos::rules_src::route_c_source(4));
+    assert!(verify_cube("route_c", &c, 4, 0, 16).verified());
+}

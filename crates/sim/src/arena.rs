@@ -1,13 +1,24 @@
-//! Struct-of-arrays channel arena: the flit and channel storage of every
-//! router in one set of flat, node-major arrays.
+//! Channel arena: the flit and channel storage of every router in a few
+//! flat, node-major arrays of compact records.
 //!
 //! The engine used to keep a `Vec<RouterNode>` of per-node structs, each
 //! holding nested `Vec<Vec<InputVc>>` / `VecDeque<Flit>` heap structures —
 //! three pointer hops and an allocator round-trip per FIFO touch. The
 //! arena replaces that with fixed-capacity ring FIFOs packed into one
-//! `Vec<Flit>` plus parallel arrays for per-lane routing state, per-output
-//! channel allocation/credits, and per-port registers. Two properties
-//! matter beyond cache behaviour:
+//! `Vec<Flit>` plus three record arrays, each ordered node by node:
+//!
+//! - one [`Lane`] per input lane: ring head and length, the route and
+//!   decision phase of the message at the front, and its counted and
+//!   misrouted markers — 16 bytes, so a node's five mesh lanes share two
+//!   cache lines;
+//! - one [`Port`] per output port: the output register's VC byte
+//!   ([`EMPTY`] when the register is free), the round-robin pointer and
+//!   the flits still assigned to the port — 8 bytes;
+//! - one `OutChan` per output virtual channel: owner and credits.
+//!
+//! The flit held by each output register sits in a parallel flit array
+//! that is read only when the register's VC byte says it is occupied.
+//! See `DESIGN.md` §20. Two properties matter beyond cache behaviour:
 //!
 //! - **Node-major layout**: every array is ordered by node id, so a
 //!   contiguous node range maps to contiguous sub-slices of every array.
@@ -22,11 +33,35 @@
 //!
 //! Lane layout per node: ports `0..degree` each contribute `vcs` input
 //! lanes, followed by one injection lane (port index `degree`, VC 0).
+//!
+//! The records narrow three fields, which bounds the shapes the arena can
+//! address (checked by `NetworkBuilder::build`): ring indices are `u16`
+//! ([`MAX_DEPTH`]), the register VC byte reserves [`EMPTY`]
+//! ([`MAX_VCS`]), and ports are `u8` ([`MAX_DEGREE`]).
 
 use crate::flit::{Flit, FlitKind, MessageId};
 use crate::router::{DecisionPhase, RouteState};
 use ftr_topo::VcId;
 use std::collections::VecDeque;
+
+/// Register VC byte of an empty output register.
+const EMPTY: u8 = u8::MAX;
+/// Largest buffer depth a `u16` ring index addresses.
+pub(crate) const MAX_DEPTH: usize = u16::MAX as usize;
+/// Most virtual channels per port: VC ids are bytes and [`EMPTY`] is
+/// reserved.
+pub(crate) const MAX_VCS: usize = EMPTY as usize;
+/// Most ports per node: port ids are bytes.
+pub(crate) const MAX_DEGREE: usize = u8::MAX as usize + 1;
+
+/// Owner word of an unowned output channel (message ids count up from 0
+/// and never reach it).
+const NO_OWNER: u64 = u64::MAX;
+/// Phase word of a lane with no decision in progress; `Waiting(c)` is
+/// stored as `c` (always `>= 1`).
+const PHASE_NONE: u32 = 0;
+/// Phase word of [`DecisionPhase::Ready`].
+const PHASE_READY: u32 = u32::MAX;
 
 /// Array-shape parameters shared by [`Channels`] and every [`ChanRef`].
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,6 +80,7 @@ pub(crate) struct Geometry {
 
 impl Geometry {
     pub fn new(nodes: usize, degree: usize, vcs: usize, depth: usize) -> Self {
+        debug_assert!(degree <= MAX_DEGREE && vcs <= MAX_VCS && depth <= MAX_DEPTH);
         Geometry { nodes, degree, vcs, depth, lanes: degree * vcs + 1 }
     }
 
@@ -83,36 +119,125 @@ fn wrap(i: usize, depth: usize) -> usize {
     }
 }
 
-const PLACEHOLDER: Flit = Flit { kind: FlitKind::Body, msg: MessageId(0), seq: 0 };
+/// Per-input-lane record: the FIFO ring's bookkeeping and the routing
+/// state of the message at its front.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Lane {
+    /// Ring slot of the front flit.
+    head: u16,
+    /// Flits buffered.
+    len: u16,
+    /// Decision progress, encoded (`PHASE_NONE`, `PHASE_READY`, or the
+    /// remaining cycles of `Waiting`).
+    phase: u32,
+    /// Route of the message at the FIFO front.
+    route: RouteState,
+    /// Whether the current head's decision steps were counted.
+    counted: bool,
+    /// Fault-misrouted marker of the routed message (fairness hint).
+    misrouted: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Lane>() == 16);
+
+impl Lane {
+    const IDLE: Lane = Lane {
+        head: 0,
+        len: 0,
+        phase: PHASE_NONE,
+        route: RouteState::Unrouted,
+        counted: false,
+        misrouted: false,
+    };
+
+    /// Flits buffered.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// Route of the message at the FIFO front.
+    #[inline]
+    pub fn route(&self) -> RouteState {
+        self.route
+    }
+
+    /// Fault-misrouted marker of the routed message.
+    #[inline]
+    pub fn misrouted(&self) -> bool {
+        self.misrouted
+    }
+
+    fn phase(&self) -> Option<DecisionPhase> {
+        match self.phase {
+            PHASE_NONE => None,
+            PHASE_READY => Some(DecisionPhase::Ready),
+            c => Some(DecisionPhase::Waiting(c)),
+        }
+    }
+
+    fn set_phase(&mut self, p: Option<DecisionPhase>) {
+        self.phase = match p {
+            None => PHASE_NONE,
+            Some(DecisionPhase::Ready) => PHASE_READY,
+            Some(DecisionPhase::Waiting(c)) => {
+                debug_assert!(c != PHASE_NONE && c != PHASE_READY, "Waiting({c}) unencodable");
+                c
+            }
+        };
+    }
+
+    /// Clears the per-message decision state, keeping the ring.
+    fn reset_route(&mut self) {
+        *self = Lane { head: self.head, len: self.len, ..Lane::IDLE };
+    }
+}
+
+/// Per-output-port record.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Port {
+    /// VC of the flit in the output register, [`EMPTY`] when free.
+    reg_vc: u8,
+    /// Round-robin arbitration pointer (`< (degree + 1) * vcs`).
+    rr: u16,
+    /// Flits still assigned to the output (adaptivity load).
+    assigned: u32,
+}
+
+impl Port {
+    const IDLE: Port = Port { reg_vc: EMPTY, rr: 0, assigned: 0 };
+}
+
+/// Per-output-virtual-channel record.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct OutChan {
+    /// Owning message id, `NO_OWNER` when idle.
+    owner: u64,
+    /// Downstream credits.
+    credits: u32,
+}
+
+impl OutChan {
+    /// Power-on state: unowned, a full buffer of credits downstream.
+    fn idle(depth: usize) -> Self {
+        OutChan { owner: NO_OWNER, credits: depth as u32 }
+    }
+}
 
 /// The arena itself — see the module docs for the layout.
 #[cfg_attr(test, derive(Clone, Debug, PartialEq))]
 pub(crate) struct Channels {
     geo: Geometry,
     /// Ring storage: `depth` slots per lane, `lanes` lanes per node.
-    fifo_buf: Vec<Flit>,
-    /// Ring head offset per lane.
-    fifo_head: Vec<u32>,
-    /// Occupied slots per lane.
-    fifo_len: Vec<u32>,
-    /// Route of the message at each lane's FIFO front.
-    route: Vec<RouteState>,
-    /// Decision progress per lane.
-    phase: Vec<Option<DecisionPhase>>,
-    /// Whether the current head's decision steps were counted.
-    counted: Vec<bool>,
-    /// Fault-misrouted marker of the routed message (fairness hint).
-    misrouted: Vec<bool>,
-    /// Output-channel owner, indexed `node * degree * vcs + p * vcs + v`.
-    out_owner: Vec<Option<MessageId>>,
-    /// Downstream credits, same indexing as `out_owner`.
-    out_credits: Vec<u32>,
-    /// Per node-port link register, indexed `node * degree + p`.
-    out_reg: Vec<Option<(VcId, Flit)>>,
-    /// Per node-port round-robin arbitration pointer.
-    rr: Vec<u32>,
-    /// Per node-port flits still assigned to the output (adaptivity load).
-    out_assigned: Vec<u32>,
+    ring: Vec<Flit>,
+    /// One record per lane, `lanes` per node.
+    lanes: Vec<Lane>,
+    /// One record per output port, `degree` per node.
+    ports: Vec<Port>,
+    /// Output register flit per port; meaningful while its VC byte is set.
+    regs: Vec<Flit>,
+    /// One record per output VC, indexed `(node * degree + p) * vcs + v`.
+    outs: Vec<OutChan>,
     /// Per node: locally generated flits awaiting the injection FIFO.
     staging: Vec<VecDeque<Flit>>,
 }
@@ -120,20 +245,14 @@ pub(crate) struct Channels {
 impl Channels {
     pub fn new(geo: Geometry) -> Self {
         let n = geo.nodes;
+        let blank = Flit::new(FlitKind::Body, MessageId(0), 0);
         Channels {
             geo,
-            fifo_buf: vec![PLACEHOLDER; n * geo.lanes * geo.depth],
-            fifo_head: vec![0; n * geo.lanes],
-            fifo_len: vec![0; n * geo.lanes],
-            route: vec![RouteState::Unrouted; n * geo.lanes],
-            phase: vec![None; n * geo.lanes],
-            counted: vec![false; n * geo.lanes],
-            misrouted: vec![false; n * geo.lanes],
-            out_owner: vec![None; n * geo.degree * geo.vcs],
-            out_credits: vec![geo.depth as u32; n * geo.degree * geo.vcs],
-            out_reg: vec![None; n * geo.degree],
-            rr: vec![0; n * geo.degree],
-            out_assigned: vec![0; n * geo.degree],
+            ring: vec![blank; n * geo.lanes * geo.depth],
+            lanes: vec![Lane::IDLE; n * geo.lanes],
+            ports: vec![Port::IDLE; n * geo.degree],
+            regs: vec![blank; n * geo.degree],
+            outs: vec![OutChan::idle(geo.depth); n * geo.degree * geo.vcs],
             staging: (0..n).map(|_| VecDeque::new()).collect(),
         }
     }
@@ -146,45 +265,44 @@ impl Channels {
     // ------------------------------------------------- read-only queries
 
     #[inline]
-    fn lane(&self, n: usize, ip: usize, iv: usize) -> usize {
-        n * self.geo.lanes + self.geo.lane_of(ip, iv)
+    fn lane(&self, n: usize, ip: usize, iv: usize) -> &Lane {
+        &self.lanes[n * self.geo.lanes + self.geo.lane_of(ip, iv)]
     }
 
     #[inline]
-    fn oc(&self, n: usize, p: usize, v: usize) -> usize {
-        (n * self.geo.degree + p) * self.geo.vcs + v
+    fn out(&self, n: usize, p: usize, v: usize) -> &OutChan {
+        &self.outs[(n * self.geo.degree + p) * self.geo.vcs + v]
     }
 
     pub fn fifo_len(&self, n: usize, ip: usize, iv: usize) -> usize {
-        self.fifo_len[self.lane(n, ip, iv)] as usize
+        self.lane(n, ip, iv).len as usize
     }
 
     /// Flits of lane `(n, ip, iv)` in FIFO order.
     pub fn fifo_iter(&self, n: usize, ip: usize, iv: usize) -> impl Iterator<Item = &Flit> + '_ {
-        let l = self.lane(n, ip, iv);
-        let (d, head, len) =
-            (self.geo.depth, self.fifo_head[l] as usize, self.fifo_len[l] as usize);
-        (0..len).map(move |i| &self.fifo_buf[l * d + wrap(head + i, d)])
+        let l = n * self.geo.lanes + self.geo.lane_of(ip, iv);
+        ring_iter(&self.ring, self.geo.depth, l, &self.lanes[l])
     }
 
     pub fn route(&self, n: usize, ip: usize, iv: usize) -> RouteState {
-        self.route[self.lane(n, ip, iv)]
+        self.lane(n, ip, iv).route
     }
 
     pub fn phase_of(&self, n: usize, ip: usize, iv: usize) -> Option<DecisionPhase> {
-        self.phase[self.lane(n, ip, iv)]
+        self.lane(n, ip, iv).phase()
     }
 
     pub fn out_owner(&self, n: usize, p: usize, v: usize) -> Option<MessageId> {
-        self.out_owner[self.oc(n, p, v)]
+        owner_of(self.out(n, p, v))
     }
 
     pub fn out_credits(&self, n: usize, p: usize, v: usize) -> u32 {
-        self.out_credits[self.oc(n, p, v)]
+        self.out(n, p, v).credits
     }
 
-    pub fn out_reg(&self, n: usize, p: usize) -> Option<&(VcId, Flit)> {
-        self.out_reg[n * self.geo.degree + p].as_ref()
+    pub fn out_reg(&self, n: usize, p: usize) -> Option<(VcId, Flit)> {
+        let i = n * self.geo.degree + p;
+        reg_of(&self.ports[i], &self.regs[i])
     }
 
     pub fn staging(&self, n: usize) -> &VecDeque<Flit> {
@@ -198,49 +316,29 @@ impl Channels {
     /// Total flits buffered at node `n` (inputs + output registers),
     /// excluding the staging queue.
     pub fn buffered_flits(&self, n: usize) -> usize {
-        let mut total = 0usize;
-        for l in n * self.geo.lanes..(n + 1) * self.geo.lanes {
-            total += self.fifo_len[l] as usize;
-        }
-        for p in 0..self.geo.degree {
-            total += self.out_reg[n * self.geo.degree + p].is_some() as usize;
-        }
-        total
+        let g = self.geo;
+        let lanes = &self.lanes[n * g.lanes..(n + 1) * g.lanes];
+        let ports = &self.ports[n * g.degree..(n + 1) * g.degree];
+        lanes.iter().map(|l| l.len as usize).sum::<usize>()
+            + ports.iter().filter(|p| p.reg_vc != EMPTY).count()
     }
 
     /// Whether node `n` has any flit-bearing work — the activation
     /// predicate of the active-set scheduler.
     pub fn has_work(&self, n: usize) -> bool {
-        if !self.staging[n].is_empty() {
-            return true;
-        }
-        if self.fifo_len[n * self.geo.lanes..(n + 1) * self.geo.lanes].iter().any(|&l| l > 0) {
-            return true;
-        }
-        self.out_reg[n * self.geo.degree..(n + 1) * self.geo.degree].iter().any(|r| r.is_some())
+        let g = self.geo;
+        let lanes = &self.lanes[n * g.lanes..(n + 1) * g.lanes];
+        work_in(lanes, &self.ports[n * g.degree..(n + 1) * g.degree], &self.staging[n])
     }
 
     /// Resets node `n` to power-on state (fresh buffers, credits, rr,
     /// registers) — node repair hands back empty hardware.
     pub fn reset_node(&mut self, n: usize) {
-        let geo = self.geo;
-        for l in n * geo.lanes..(n + 1) * geo.lanes {
-            self.fifo_head[l] = 0;
-            self.fifo_len[l] = 0;
-            self.route[l] = RouteState::Unrouted;
-            self.phase[l] = None;
-            self.counted[l] = false;
-            self.misrouted[l] = false;
-        }
-        for c in n * geo.degree * geo.vcs..(n + 1) * geo.degree * geo.vcs {
-            self.out_owner[c] = None;
-            self.out_credits[c] = geo.depth as u32;
-        }
-        for p in n * geo.degree..(n + 1) * geo.degree {
-            self.out_reg[p] = None;
-            self.rr[p] = 0;
-            self.out_assigned[p] = 0;
-        }
+        let g = self.geo;
+        self.lanes[n * g.lanes..(n + 1) * g.lanes].fill(Lane::IDLE);
+        self.ports[n * g.degree..(n + 1) * g.degree].fill(Port::IDLE);
+        let (lo, hi) = (n * g.degree * g.vcs, (n + 1) * g.degree * g.vcs);
+        self.outs[lo..hi].fill(OutChan::idle(g.depth));
         self.staging[n].clear();
     }
 
@@ -248,22 +346,14 @@ impl Channels {
 
     /// One mutable view over the whole arena (the master/sequential path).
     pub fn full_mut(&mut self) -> ChanRef<'_> {
-        let geo = self.geo;
         ChanRef {
             base: 0,
-            geo,
-            fifo_buf: &mut self.fifo_buf,
-            fifo_head: &mut self.fifo_head,
-            fifo_len: &mut self.fifo_len,
-            route: &mut self.route,
-            phase: &mut self.phase,
-            counted: &mut self.counted,
-            misrouted: &mut self.misrouted,
-            out_owner: &mut self.out_owner,
-            out_credits: &mut self.out_credits,
-            out_reg: &mut self.out_reg,
-            rr: &mut self.rr,
-            out_assigned: &mut self.out_assigned,
+            geo: self.geo,
+            ring: &mut self.ring,
+            lanes: &mut self.lanes,
+            ports: &mut self.ports,
+            regs: &mut self.regs,
+            outs: &mut self.outs,
             staging: &mut self.staging,
         }
     }
@@ -276,67 +366,48 @@ impl Channels {
         debug_assert_eq!(bounds[0], 0);
         debug_assert_eq!(*bounds.last().expect("non-empty"), self.geo.nodes);
         let geo = self.geo;
-        let mut fifo_buf = self.fifo_buf.as_mut_slice();
-        let mut fifo_head = self.fifo_head.as_mut_slice();
-        let mut fifo_len = self.fifo_len.as_mut_slice();
-        let mut route = self.route.as_mut_slice();
-        let mut phase = self.phase.as_mut_slice();
-        let mut counted = self.counted.as_mut_slice();
-        let mut misrouted = self.misrouted.as_mut_slice();
-        let mut out_owner = self.out_owner.as_mut_slice();
-        let mut out_credits = self.out_credits.as_mut_slice();
-        let mut out_reg = self.out_reg.as_mut_slice();
-        let mut rr = self.rr.as_mut_slice();
-        let mut out_assigned = self.out_assigned.as_mut_slice();
-        let mut staging = self.staging.as_mut_slice();
+        let mut rest = self.full_mut();
         let mut out = Vec::with_capacity(bounds.len() - 1);
         for w in bounds.windows(2) {
-            let cnt = w[1] - w[0];
-            let (fb, r) = fifo_buf.split_at_mut(cnt * geo.lanes * geo.depth);
-            fifo_buf = r;
-            let (fh, r) = fifo_head.split_at_mut(cnt * geo.lanes);
-            fifo_head = r;
-            let (fl, r) = fifo_len.split_at_mut(cnt * geo.lanes);
-            fifo_len = r;
-            let (rt, r) = route.split_at_mut(cnt * geo.lanes);
-            route = r;
-            let (ph, r) = phase.split_at_mut(cnt * geo.lanes);
-            phase = r;
-            let (co, r) = counted.split_at_mut(cnt * geo.lanes);
-            counted = r;
-            let (mi, r) = misrouted.split_at_mut(cnt * geo.lanes);
-            misrouted = r;
-            let (oo, r) = out_owner.split_at_mut(cnt * geo.degree * geo.vcs);
-            out_owner = r;
-            let (ocr, r) = out_credits.split_at_mut(cnt * geo.degree * geo.vcs);
-            out_credits = r;
-            let (or_, r) = out_reg.split_at_mut(cnt * geo.degree);
-            out_reg = r;
-            let (rp, r) = rr.split_at_mut(cnt * geo.degree);
-            rr = r;
-            let (oa, r) = out_assigned.split_at_mut(cnt * geo.degree);
-            out_assigned = r;
-            let (st, r) = staging.split_at_mut(cnt);
-            staging = r;
-            out.push(ChanRef {
-                base: w[0],
-                geo,
-                fifo_buf: fb,
-                fifo_head: fh,
-                fifo_len: fl,
-                route: rt,
-                phase: ph,
-                counted: co,
-                misrouted: mi,
-                out_owner: oo,
-                out_credits: ocr,
-                out_reg: or_,
-                rr: rp,
-                out_assigned: oa,
-                staging: st,
-            });
+            let (head, tail) = rest.split_off(w[1] - w[0]);
+            out.push(head);
+            rest = tail;
         }
+        debug_assert_eq!(rest.base, geo.nodes);
         out
+    }
+}
+
+/// Whether a node with these records holds a flit anywhere.
+#[inline]
+fn work_in(lanes: &[Lane], ports: &[Port], staging: &VecDeque<Flit>) -> bool {
+    lanes.iter().any(|l| l.len > 0)
+        || ports.iter().any(|p| p.reg_vc != EMPTY)
+        || !staging.is_empty()
+}
+
+/// The flits of lane `l` (global record index) in FIFO order.
+fn ring_iter<'a>(
+    ring: &'a [Flit],
+    depth: usize,
+    l: usize,
+    lane: &Lane,
+) -> impl Iterator<Item = &'a Flit> + 'a {
+    let (head, len) = (lane.head as usize, lane.len as usize);
+    (0..len).map(move |i| &ring[l * depth + wrap(head + i, depth)])
+}
+
+#[inline]
+fn owner_of(c: &OutChan) -> Option<MessageId> {
+    (c.owner != NO_OWNER).then_some(MessageId(c.owner))
+}
+
+#[inline]
+fn reg_of(p: &Port, f: &Flit) -> Option<(VcId, Flit)> {
+    if p.reg_vc == EMPTY {
+        None
+    } else {
+        Some((VcId(p.reg_vc), *f))
     }
 }
 
@@ -346,19 +417,38 @@ impl Channels {
 pub(crate) struct ChanRef<'a> {
     base: usize,
     geo: Geometry,
-    fifo_buf: &'a mut [Flit],
-    fifo_head: &'a mut [u32],
-    fifo_len: &'a mut [u32],
-    route: &'a mut [RouteState],
-    phase: &'a mut [Option<DecisionPhase>],
-    counted: &'a mut [bool],
-    misrouted: &'a mut [bool],
-    out_owner: &'a mut [Option<MessageId>],
-    out_credits: &'a mut [u32],
-    out_reg: &'a mut [Option<(VcId, Flit)>],
-    rr: &'a mut [u32],
-    out_assigned: &'a mut [u32],
+    ring: &'a mut [Flit],
+    lanes: &'a mut [Lane],
+    ports: &'a mut [Port],
+    regs: &'a mut [Flit],
+    outs: &'a mut [OutChan],
     staging: &'a mut [VecDeque<Flit>],
+}
+
+impl<'a> ChanRef<'a> {
+    /// Splits off the first `cnt` nodes of this view.
+    fn split_off(self, cnt: usize) -> (ChanRef<'a>, ChanRef<'a>) {
+        let g = self.geo;
+        let (ring, ring_r) = self.ring.split_at_mut(cnt * g.lanes * g.depth);
+        let (lanes, lanes_r) = self.lanes.split_at_mut(cnt * g.lanes);
+        let (ports, ports_r) = self.ports.split_at_mut(cnt * g.degree);
+        let (regs, regs_r) = self.regs.split_at_mut(cnt * g.degree);
+        let (outs, outs_r) = self.outs.split_at_mut(cnt * g.degree * g.vcs);
+        let (staging, staging_r) = self.staging.split_at_mut(cnt);
+        (
+            ChanRef { base: self.base, geo: g, ring, lanes, ports, regs, outs, staging },
+            ChanRef {
+                base: self.base + cnt,
+                geo: g,
+                ring: ring_r,
+                lanes: lanes_r,
+                ports: ports_r,
+                regs: regs_r,
+                outs: outs_r,
+                staging: staging_r,
+            },
+        )
+    }
 }
 
 impl ChanRef<'_> {
@@ -368,9 +458,15 @@ impl ChanRef<'_> {
         n - self.base
     }
 
+    /// Record index of node-relative lane `l` of node `n`.
+    #[inline]
+    fn li(&self, n: usize, l: usize) -> usize {
+        self.local(n) * self.geo.lanes + l
+    }
+
     #[inline]
     fn lane(&self, n: usize, ip: usize, iv: usize) -> usize {
-        self.local(n) * self.geo.lanes + self.geo.lane_of(ip, iv)
+        self.li(n, self.geo.lane_of(ip, iv))
     }
 
     #[inline]
@@ -383,190 +479,223 @@ impl ChanRef<'_> {
         self.local(n) * self.geo.degree + p
     }
 
+    /// The record of node-relative lane `l` of node `n` (lanes are
+    /// port-major, the injection lane last).
+    #[inline]
+    pub fn lane_at(&self, n: usize, l: usize) -> Lane {
+        self.lanes[self.li(n, l)]
+    }
+
+    /// [`Channels::has_work`] through the view.
+    pub fn has_work(&self, n: usize) -> bool {
+        let (l, p) = (self.li(n, 0), self.np(n, 0));
+        let lanes = &self.lanes[l..l + self.geo.lanes];
+        work_in(lanes, &self.ports[p..p + self.geo.degree], &self.staging[self.local(n)])
+    }
+
     // ------------------------------------------------------- FIFO rings
 
     pub fn fifo_len(&self, n: usize, ip: usize, iv: usize) -> usize {
-        self.fifo_len[self.lane(n, ip, iv)] as usize
+        self.lanes[self.lane(n, ip, iv)].len as usize
     }
 
     pub fn fifo_push_back(&mut self, n: usize, ip: usize, iv: usize, f: Flit) {
         let l = self.lane(n, ip, iv);
         let d = self.geo.depth;
-        let len = self.fifo_len[l] as usize;
+        let lane = &mut self.lanes[l];
+        let len = lane.len as usize;
         assert!(len < d, "VC FIFO overflow: the credit invariant was violated");
-        self.fifo_buf[l * d + wrap(self.fifo_head[l] as usize + len, d)] = f;
-        self.fifo_len[l] += 1;
+        self.ring[l * d + wrap(lane.head as usize + len, d)] = f;
+        lane.len += 1;
     }
 
-    pub fn fifo_pop_front(&mut self, n: usize, ip: usize, iv: usize) -> Option<Flit> {
-        let l = self.lane(n, ip, iv);
-        if self.fifo_len[l] == 0 {
+    /// Pops the front flit of node-relative lane `l` of node `n`.
+    pub fn pop_lane(&mut self, n: usize, l: usize) -> Option<Flit> {
+        let l = self.li(n, l);
+        let d = self.geo.depth;
+        let lane = &mut self.lanes[l];
+        if lane.len == 0 {
             return None;
         }
-        let d = self.geo.depth;
-        let f = self.fifo_buf[l * d + self.fifo_head[l] as usize];
-        self.fifo_head[l] = wrap(self.fifo_head[l] as usize + 1, d) as u32;
-        self.fifo_len[l] -= 1;
+        let f = self.ring[l * d + lane.head as usize];
+        lane.head = wrap(lane.head as usize + 1, d) as u16;
+        lane.len -= 1;
         Some(f)
+    }
+
+    #[cfg(test)]
+    pub fn fifo_pop_front(&mut self, n: usize, ip: usize, iv: usize) -> Option<Flit> {
+        self.pop_lane(n, self.geo.lane_of(ip, iv))
     }
 
     pub fn fifo_front(&self, n: usize, ip: usize, iv: usize) -> Option<&Flit> {
         let l = self.lane(n, ip, iv);
-        if self.fifo_len[l] == 0 {
-            return None;
-        }
-        Some(&self.fifo_buf[l * self.geo.depth + self.fifo_head[l] as usize])
+        let lane = &self.lanes[l];
+        (lane.len != 0).then(|| &self.ring[l * self.geo.depth + lane.head as usize])
     }
 
     pub fn fifo_front_mut(&mut self, n: usize, ip: usize, iv: usize) -> Option<&mut Flit> {
         let l = self.lane(n, ip, iv);
-        if self.fifo_len[l] == 0 {
-            return None;
-        }
-        Some(&mut self.fifo_buf[l * self.geo.depth + self.fifo_head[l] as usize])
+        let lane = &self.lanes[l];
+        (lane.len != 0).then(|| &mut self.ring[l * self.geo.depth + lane.head as usize])
     }
 
     #[cfg(test)]
     pub fn fifo_iter(&self, n: usize, ip: usize, iv: usize) -> impl Iterator<Item = &Flit> + '_ {
         let l = self.lane(n, ip, iv);
-        let (d, head, len) =
-            (self.geo.depth, self.fifo_head[l] as usize, self.fifo_len[l] as usize);
-        (0..len).map(move |i| &self.fifo_buf[l * d + wrap(head + i, d)])
+        ring_iter(self.ring, self.geo.depth, l, &self.lanes[l])
     }
 
     /// Keeps only flits matching `pred`, compacting the ring in order.
     pub fn fifo_retain(&mut self, n: usize, ip: usize, iv: usize, pred: impl Fn(&Flit) -> bool) {
         let l = self.lane(n, ip, iv);
         let d = self.geo.depth;
-        let head = self.fifo_head[l] as usize;
-        let len = self.fifo_len[l] as usize;
+        let lane = &mut self.lanes[l];
+        let ring = &mut self.ring[l * d..(l + 1) * d];
+        let head = lane.head as usize;
         let mut kept = 0usize;
-        for i in 0..len {
-            let f = self.fifo_buf[l * d + wrap(head + i, d)];
+        for i in 0..lane.len as usize {
+            let f = ring[wrap(head + i, d)];
             if pred(&f) {
-                self.fifo_buf[l * d + wrap(head + kept, d)] = f;
+                ring[wrap(head + kept, d)] = f;
                 kept += 1;
             }
         }
-        self.fifo_len[l] = kept as u32;
+        lane.len = kept as u16;
     }
 
     // ------------------------------------------------------- lane state
 
     pub fn route(&self, n: usize, ip: usize, iv: usize) -> RouteState {
-        self.route[self.lane(n, ip, iv)]
+        self.lanes[self.lane(n, ip, iv)].route
     }
 
     pub fn set_route(&mut self, n: usize, ip: usize, iv: usize, r: RouteState) {
         let l = self.lane(n, ip, iv);
-        self.route[l] = r;
+        self.lanes[l].route = r;
     }
 
     pub fn phase_of(&self, n: usize, ip: usize, iv: usize) -> Option<DecisionPhase> {
-        self.phase[self.lane(n, ip, iv)]
+        self.lanes[self.lane(n, ip, iv)].phase()
     }
 
     pub fn set_phase(&mut self, n: usize, ip: usize, iv: usize, p: Option<DecisionPhase>) {
         let l = self.lane(n, ip, iv);
-        self.phase[l] = p;
+        self.lanes[l].set_phase(p);
     }
 
     pub fn counted(&self, n: usize, ip: usize, iv: usize) -> bool {
-        self.counted[self.lane(n, ip, iv)]
+        self.lanes[self.lane(n, ip, iv)].counted
     }
 
     pub fn set_counted(&mut self, n: usize, ip: usize, iv: usize, c: bool) {
         let l = self.lane(n, ip, iv);
-        self.counted[l] = c;
+        self.lanes[l].counted = c;
     }
 
+    #[cfg(test)]
     pub fn misrouted(&self, n: usize, ip: usize, iv: usize) -> bool {
-        self.misrouted[self.lane(n, ip, iv)]
+        self.lanes[self.lane(n, ip, iv)].misrouted
     }
 
     pub fn set_misrouted(&mut self, n: usize, ip: usize, iv: usize, m: bool) {
         let l = self.lane(n, ip, iv);
-        self.misrouted[l] = m;
+        self.lanes[l].misrouted = m;
     }
 
     /// Resets per-message decision state (after a tail leaves or a kill).
     pub fn reset_route(&mut self, n: usize, ip: usize, iv: usize) {
         let l = self.lane(n, ip, iv);
-        self.route[l] = RouteState::Unrouted;
-        self.phase[l] = None;
-        self.counted[l] = false;
-        self.misrouted[l] = false;
+        self.lanes[l].reset_route();
     }
 
     // -------------------------------------------------- output channels
 
     pub fn out_owner(&self, n: usize, p: usize, v: usize) -> Option<MessageId> {
-        self.out_owner[self.oc(n, p, v)]
+        owner_of(&self.outs[self.oc(n, p, v)])
     }
 
     pub fn set_out_owner(&mut self, n: usize, p: usize, v: usize, o: Option<MessageId>) {
+        debug_assert!(o.is_none_or(|m| m.0 != NO_OWNER), "message id reserved");
         let c = self.oc(n, p, v);
-        self.out_owner[c] = o;
+        self.outs[c].owner = o.map_or(NO_OWNER, |m| m.0);
     }
 
     pub fn out_credits(&self, n: usize, p: usize, v: usize) -> u32 {
-        self.out_credits[self.oc(n, p, v)]
+        self.outs[self.oc(n, p, v)].credits
     }
 
     pub fn set_out_credits(&mut self, n: usize, p: usize, v: usize, c: u32) {
         let i = self.oc(n, p, v);
-        self.out_credits[i] = c;
+        self.outs[i].credits = c;
     }
 
     /// Whether output VC `(p, v)` of node `n` is allocatable (idle +
     /// credit).
     pub fn out_channel_free(&self, n: usize, p: usize, v: usize) -> bool {
-        let c = self.oc(n, p, v);
-        self.out_owner[c].is_none() && self.out_credits[c] > 0
+        let c = &self.outs[self.oc(n, p, v)];
+        c.owner == NO_OWNER && c.credits > 0
     }
 
     // -------------------------------------------------- per-port state
 
-    pub fn out_reg(&self, n: usize, p: usize) -> Option<&(VcId, Flit)> {
-        self.out_reg[self.np(n, p)].as_ref()
+    /// Whether the output register of `(n, p)` holds a flit — one byte.
+    #[inline]
+    pub fn reg_busy(&self, n: usize, p: usize) -> bool {
+        self.ports[self.np(n, p)].reg_vc != EMPTY
+    }
+
+    pub fn out_reg(&self, n: usize, p: usize) -> Option<(VcId, Flit)> {
+        let i = self.np(n, p);
+        reg_of(&self.ports[i], &self.regs[i])
     }
 
     pub fn take_out_reg(&mut self, n: usize, p: usize) -> Option<(VcId, Flit)> {
         let i = self.np(n, p);
-        self.out_reg[i].take()
+        let r = reg_of(&self.ports[i], &self.regs[i]);
+        self.ports[i].reg_vc = EMPTY;
+        r
     }
 
     pub fn set_out_reg(&mut self, n: usize, p: usize, r: Option<(VcId, Flit)>) {
         let i = self.np(n, p);
-        self.out_reg[i] = r;
+        match r {
+            Some((v, f)) => {
+                debug_assert!(v.idx() < MAX_VCS, "VC byte {} is the empty marker", v.0);
+                self.ports[i].reg_vc = v.0;
+                self.regs[i] = f;
+            }
+            None => self.ports[i].reg_vc = EMPTY,
+        }
     }
 
     pub fn rr(&self, n: usize, p: usize) -> u32 {
-        self.rr[self.np(n, p)]
+        self.ports[self.np(n, p)].rr as u32
     }
 
     pub fn set_rr(&mut self, n: usize, p: usize, v: u32) {
+        debug_assert!(v <= u16::MAX as u32);
         let i = self.np(n, p);
-        self.rr[i] = v;
+        self.ports[i].rr = v as u16;
     }
 
     pub fn out_assigned(&self, n: usize, p: usize) -> u32 {
-        self.out_assigned[self.np(n, p)]
+        self.ports[self.np(n, p)].assigned
     }
 
     pub fn set_out_assigned(&mut self, n: usize, p: usize, v: u32) {
         let i = self.np(n, p);
-        self.out_assigned[i] = v;
+        self.ports[i].assigned = v;
     }
 
     pub fn add_out_assigned(&mut self, n: usize, p: usize, v: u32) {
         let i = self.np(n, p);
-        self.out_assigned[i] += v;
+        self.ports[i].assigned += v;
     }
 
     pub fn sub_out_assigned_sat(&mut self, n: usize, p: usize, v: u32) {
         let i = self.np(n, p);
-        self.out_assigned[i] = self.out_assigned[i].saturating_sub(v);
+        self.ports[i].assigned = self.ports[i].assigned.saturating_sub(v);
     }
 
     // ------------------------------------------------------------ nodes
@@ -580,13 +709,12 @@ impl ChanRef<'_> {
         &self.staging[self.local(n)]
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn flit(msg: u64, seq: u32) -> Flit {
-        Flit { kind: FlitKind::Body, msg: MessageId(msg), seq }
+        Flit::new(FlitKind::Body, MessageId(msg), seq)
     }
 
     #[test]
@@ -726,5 +854,285 @@ mod tests {
         assert_eq!(ch.out_owner(1, 1, 0), None);
         assert_eq!(ch.out_credits(1, 1, 0), 4);
         assert_eq!(ch.buffered_flits(1), 0);
+    }
+
+    // ------------------------------------------- reference-model property
+
+    use crate::flit::Header;
+    use ftr_topo::{NodeId, PortId, SimpleRng};
+    use proptest::prelude::*;
+
+    /// The arena's contract as plain collections: one `VecDeque` per lane
+    /// and one value per field.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Model {
+        fifos: Vec<VecDeque<Flit>>,
+        route: Vec<RouteState>,
+        phase: Vec<Option<DecisionPhase>>,
+        counted: Vec<bool>,
+        misrouted: Vec<bool>,
+        owner: Vec<Option<MessageId>>,
+        credits: Vec<u32>,
+        reg: Vec<Option<(VcId, Flit)>>,
+        rr: Vec<u32>,
+        assigned: Vec<u32>,
+        staging: Vec<VecDeque<Flit>>,
+    }
+
+    impl Model {
+        fn new(g: Geometry) -> Self {
+            let (l, p, c) = (g.nodes * g.lanes, g.nodes * g.degree, g.nodes * g.degree * g.vcs);
+            Model {
+                fifos: vec![VecDeque::new(); l],
+                route: vec![RouteState::Unrouted; l],
+                phase: vec![None; l],
+                counted: vec![false; l],
+                misrouted: vec![false; l],
+                owner: vec![None; c],
+                credits: vec![g.depth as u32; c],
+                reg: vec![None; p],
+                rr: vec![0; p],
+                assigned: vec![0; p],
+                staging: vec![VecDeque::new(); g.nodes],
+            }
+        }
+
+        fn reset_node(&mut self, g: Geometry, n: usize) {
+            for l in n * g.lanes..(n + 1) * g.lanes {
+                self.fifos[l].clear();
+                self.reset_route(l);
+            }
+            for c in n * g.degree * g.vcs..(n + 1) * g.degree * g.vcs {
+                self.owner[c] = None;
+                self.credits[c] = g.depth as u32;
+            }
+            for p in n * g.degree..(n + 1) * g.degree {
+                self.reg[p] = None;
+                self.rr[p] = 0;
+                self.assigned[p] = 0;
+            }
+            self.staging[n].clear();
+        }
+
+        fn reset_route(&mut self, l: usize) {
+            self.route[l] = RouteState::Unrouted;
+            self.phase[l] = None;
+            self.counted[l] = false;
+            self.misrouted[l] = false;
+        }
+    }
+
+    fn random_flit(rng: &mut SimpleRng) -> Flit {
+        let msg = MessageId(rng.below(6) as u64);
+        match rng.below(3) {
+            0 => {
+                let mut h = Header::new(msg, NodeId(rng.below(9) as u32), NodeId(3), 1);
+                h.len_flits = rng.below(5) as u32;
+                h.hops = rng.below(7) as u32;
+                h.misrouted = rng.below(2) == 0;
+                h.vnet = rng.below(2) as u8;
+                h.phase = rng.below(3) as u8;
+                Flit::head(h)
+            }
+            1 => Flit::new(FlitKind::Body, msg, 1 + rng.below(4) as u32),
+            _ => Flit::new(FlitKind::Tail, msg, 1 + rng.below(4) as u32),
+        }
+    }
+
+    /// Asserts every observable of the arena equals the model.
+    fn check(ch: &mut Channels, m: &Model, step: usize) -> Result<(), TestCaseError> {
+        let g = ch.geo();
+        for n in 0..g.nodes {
+            for ip in 0..=g.degree {
+                for iv in 0..g.vcs_at(ip) {
+                    let l = n * g.lanes + g.lane_of(ip, iv);
+                    let got: Vec<Flit> = ch.fifo_iter(n, ip, iv).copied().collect();
+                    let want: Vec<Flit> = m.fifos[l].iter().copied().collect();
+                    prop_assert_eq!(got, want, "step {} lane ({}, {}, {})", step, n, ip, iv);
+                    prop_assert_eq!(ch.fifo_len(n, ip, iv), m.fifos[l].len());
+                    prop_assert_eq!(ch.route(n, ip, iv), m.route[l]);
+                    prop_assert_eq!(ch.phase_of(n, ip, iv), m.phase[l]);
+                    let v = ch.full_mut();
+                    prop_assert_eq!(v.fifo_front(n, ip, iv).copied(), m.fifos[l].front().copied());
+                    prop_assert_eq!(v.counted(n, ip, iv), m.counted[l]);
+                    prop_assert_eq!(v.misrouted(n, ip, iv), m.misrouted[l]);
+                }
+            }
+            for p in 0..g.degree {
+                let i = n * g.degree + p;
+                prop_assert_eq!(ch.out_reg(n, p), m.reg[i], "step {} reg ({}, {})", step, n, p);
+                let v = ch.full_mut();
+                prop_assert_eq!(v.reg_busy(n, p), m.reg[i].is_some());
+                prop_assert_eq!(v.rr(n, p), m.rr[i]);
+                prop_assert_eq!(v.out_assigned(n, p), m.assigned[i]);
+                for vc in 0..g.vcs {
+                    let c = i * g.vcs + vc;
+                    prop_assert_eq!(ch.out_owner(n, p, vc), m.owner[c]);
+                    prop_assert_eq!(ch.out_credits(n, p, vc), m.credits[c]);
+                    let free = m.owner[c].is_none() && m.credits[c] > 0;
+                    prop_assert_eq!(ch.full_mut().out_channel_free(n, p, vc), free);
+                }
+            }
+            prop_assert_eq!(ch.staging(n), &m.staging[n]);
+            let lanes = n * g.lanes..(n + 1) * g.lanes;
+            let regs = n * g.degree..(n + 1) * g.degree;
+            let buffered = m.fifos[lanes.clone()].iter().map(VecDeque::len).sum::<usize>()
+                + m.reg[regs.clone()].iter().filter(|r| r.is_some()).count();
+            prop_assert_eq!(ch.buffered_flits(n), buffered, "step {} node {}", step, n);
+            prop_assert_eq!(ch.has_work(n), buffered > 0 || !m.staging[n].is_empty());
+        }
+        Ok(())
+    }
+
+    /// Runs `ops` random operations against both the arena — each through
+    /// the `split_mut` view owning its node — and the model.
+    fn arena_matches_model(seed: u64, g: Geometry, ops: usize) -> Result<(), TestCaseError> {
+        let mut rng = SimpleRng::new(seed);
+        let mut ch = Channels::new(g);
+        let mut m = Model::new(g);
+        // a random contiguous partition into 1..=nodes shards
+        let shards = 1 + rng.below(g.nodes);
+        let mut bounds: Vec<usize> = (0..=shards).map(|i| i * g.nodes / shards).collect();
+        bounds.dedup();
+        for step in 0..ops {
+            let n = rng.below(g.nodes);
+            let ip = rng.below(g.degree + 1);
+            let iv = rng.below(g.vcs_at(ip));
+            let l = n * g.lanes + g.lane_of(ip, iv);
+            let p = rng.below(g.degree);
+            let vc = rng.below(g.vcs);
+            let (i, c) = (n * g.degree + p, (n * g.degree + p) * g.vcs + vc);
+            let op = rng.below(14);
+            if op == 13 {
+                ch.reset_node(n);
+                m.reset_node(g, n);
+                check(&mut ch, &m, step)?;
+                continue;
+            }
+            let s = bounds.partition_point(|&b| b <= n) - 1;
+            let mut views = ch.split_mut(&bounds);
+            let v = &mut views[s];
+            match op {
+                // pushes twice as often as pops, so rings fill and wrap
+                0 | 1 if m.fifos[l].len() < g.depth => {
+                    let f = random_flit(&mut rng);
+                    v.fifo_push_back(n, ip, iv, f);
+                    m.fifos[l].push_back(f);
+                }
+                0..=2 => prop_assert_eq!(v.fifo_pop_front(n, ip, iv), m.fifos[l].pop_front()),
+                3 => {
+                    let (k, r) = (2 + rng.below(2) as u64, rng.below(2) as u64);
+                    v.fifo_retain(n, ip, iv, |f| f.msg.0 % k != r);
+                    m.fifos[l].retain(|f| f.msg.0 % k != r);
+                }
+                4 => {
+                    // rewrite the front head's header in place
+                    let mut f = random_flit(&mut rng);
+                    f.bump_hops();
+                    if let (Some(a), Some(b)) =
+                        (v.fifo_front_mut(n, ip, iv), m.fifos[l].front_mut())
+                    {
+                        if let Some(h) = f.header() {
+                            a.set_header(h);
+                            b.set_header(h);
+                        }
+                    }
+                }
+                5 => {
+                    let r = match rng.below(3) {
+                        0 => RouteState::Unrouted,
+                        1 => RouteState::Local,
+                        _ => RouteState::Out(PortId(p as u8), VcId(vc as u8)),
+                    };
+                    v.set_route(n, ip, iv, r);
+                    m.route[l] = r;
+                    let ph = match rng.below(3) {
+                        0 => None,
+                        1 => Some(DecisionPhase::Ready),
+                        _ => Some(DecisionPhase::Waiting(1 + rng.below(5) as u32)),
+                    };
+                    v.set_phase(n, ip, iv, ph);
+                    m.phase[l] = ph;
+                }
+                6 => {
+                    let (a, b) = (rng.below(2) == 0, rng.below(2) == 0);
+                    v.set_counted(n, ip, iv, a);
+                    v.set_misrouted(n, ip, iv, b);
+                    (m.counted[l], m.misrouted[l]) = (a, b);
+                }
+                7 => {
+                    v.reset_route(n, ip, iv);
+                    m.reset_route(l);
+                }
+                8 => {
+                    let r = (rng.below(3) != 0)
+                        .then(|| (VcId(rng.below(g.vcs) as u8), random_flit(&mut rng)));
+                    v.set_out_reg(n, p, r);
+                    m.reg[i] = r;
+                }
+                9 => prop_assert_eq!(v.take_out_reg(n, p), m.reg[i].take()),
+                10 => {
+                    let o = (rng.below(2) == 0).then(|| MessageId(rng.below(6) as u64));
+                    v.set_out_owner(n, p, vc, o);
+                    m.owner[c] = o;
+                }
+                11 => {
+                    let k = rng.below(g.depth + 1) as u32;
+                    v.set_out_credits(n, p, vc, k);
+                    m.credits[c] = k;
+                }
+                _ => {
+                    let r = rng.below((g.degree + 1) * g.vcs) as u32;
+                    v.set_rr(n, p, r);
+                    m.rr[i] = r;
+                    let a = rng.below(4) as u32;
+                    if rng.below(2) == 0 {
+                        v.add_out_assigned(n, p, a);
+                        m.assigned[i] += a;
+                    } else {
+                        v.sub_out_assigned_sat(n, p, a);
+                        m.assigned[i] = m.assigned[i].saturating_sub(a);
+                    }
+                    let f = random_flit(&mut rng);
+                    v.staging_mut(n).push_back(f);
+                    m.staging[n].push_back(f);
+                    if rng.below(2) == 0 {
+                        v.staging_mut(n).pop_front();
+                        m.staging[n].pop_front();
+                    }
+                }
+            }
+            drop(views);
+            check(&mut ch, &m, step)?;
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn arena_matches_vecdeque_model(
+            seed in any::<u64>(),
+            nodes in 1usize..5,
+            degree in 1usize..5,
+            vcs in 1usize..4,
+            depth in 1usize..5,
+        ) {
+            arena_matches_model(seed, Geometry::new(nodes, degree, vcs, depth), 200)?;
+        }
+
+        /// Depth 1: every push lands in the only slot.
+        #[test]
+        fn arena_matches_vecdeque_model_at_depth_1(seed in any::<u64>()) {
+            arena_matches_model(seed, Geometry::new(3, 4, 2, 1), 200)?;
+        }
+
+        /// `(degree + 1) · vcs = 72` lanes per node: more than one 64-bit
+        /// word of slots.
+        #[test]
+        fn arena_matches_vecdeque_model_beyond_64_slots(seed in any::<u64>()) {
+            arena_matches_model(seed, Geometry::new(2, 8, 8, 3), 300)?;
+        }
     }
 }

@@ -19,7 +19,7 @@
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the hardware structure
 
-use crate::arena::{ChanRef, Channels, Geometry};
+use crate::arena::{ChanRef, Channels, Geometry, MAX_DEGREE, MAX_DEPTH, MAX_VCS};
 use crate::flit::{Flit, FlitKind, Header, MessageId};
 use crate::links::LinkMap;
 use crate::plan::{FaultAction, FaultPlan};
@@ -156,6 +156,9 @@ struct ShardScratch {
     used: Vec<bool>,
     /// Switch-allocation candidates of the node being arbitrated.
     cands: Vec<Cand>,
+    /// Nodes of the working set that still hold a flit after ejection
+    /// and switch allocation — the next cycle's active set (ascending).
+    busy: Vec<u32>,
     /// Whether this shard moved any flit this cycle.
     moved: bool,
     /// The router snapshot behind every controller consult (and its
@@ -258,6 +261,14 @@ pub enum BuildError {
     NoVirtualChannels,
     /// The topology has no nodes.
     EmptyTopology,
+    /// `buffer_depth` exceeds the largest depth a FIFO ring index
+    /// addresses (65,535 flits).
+    BufferDepthTooLarge(u32),
+    /// The routing algorithm requests more virtual channels than VC ids
+    /// can name (255; the VC byte 255 marks an empty output register).
+    TooManyVirtualChannels(usize),
+    /// The topology has more ports per node than port ids can name (256).
+    DegreeTooLarge(usize),
 }
 
 impl std::fmt::Display for BuildError {
@@ -269,6 +280,15 @@ impl std::fmt::Display for BuildError {
                 write!(f, "routing algorithm must use >= 1 virtual channel")
             }
             BuildError::EmptyTopology => write!(f, "topology has no nodes"),
+            BuildError::BufferDepthTooLarge(d) => {
+                write!(f, "buffer_depth {d} exceeds {MAX_DEPTH} flits")
+            }
+            BuildError::TooManyVirtualChannels(v) => {
+                write!(f, "routing algorithm uses {v} virtual channels, at most {MAX_VCS} fit")
+            }
+            BuildError::DegreeTooLarge(d) => {
+                write!(f, "topology degree {d} exceeds {MAX_DEGREE} ports")
+            }
         }
     }
 }
@@ -461,6 +481,9 @@ impl NetworkBuilder {
         if self.cfg.buffer_depth == 0 {
             return Err(BuildError::ZeroBufferDepth);
         }
+        if self.cfg.buffer_depth as usize > MAX_DEPTH {
+            return Err(BuildError::BufferDepthTooLarge(self.cfg.buffer_depth));
+        }
         if self.cfg.deadlock_threshold == 0 {
             return Err(BuildError::ZeroDeadlockThreshold);
         }
@@ -468,11 +491,17 @@ impl NetworkBuilder {
         if vcs == 0 {
             return Err(BuildError::NoVirtualChannels);
         }
+        if vcs > MAX_VCS {
+            return Err(BuildError::TooManyVirtualChannels(vcs));
+        }
         let n = self.topo.num_nodes();
         if n == 0 {
             return Err(BuildError::EmptyTopology);
         }
         let degree = self.topo.degree();
+        if degree > MAX_DEGREE {
+            return Err(BuildError::DegreeTooLarge(degree));
+        }
         let cfg = self.cfg;
         let threads = if cfg.threads == 0 { crate::sweep::worker_count() } else { cfg.threads };
         let shards = threads.min(n).max(1);
@@ -503,6 +532,7 @@ impl NetworkBuilder {
             plan: self.plan,
             active_mask: vec![false; n],
             active_list: Vec::new(),
+            active_sorted: 0,
             dense_reference: false,
             last_moved: false,
             scratch: StepScratch::default(),
@@ -552,6 +582,10 @@ pub struct Network {
     /// marks its node; `step` iterates only the marked set.
     active_mask: Vec<bool>,
     active_list: Vec<u32>,
+    /// Length of `active_list`'s ascending prefix: the survivors of the
+    /// last prune. Everything after it was appended by `mark_active`
+    /// since, in activation order.
+    active_sorted: usize,
     /// Retained dense-scan reference path: iterate every node in every
     /// phase, exactly as the pre-active-set engine did. Differential tests
     /// run it in lockstep against the active-set path.
@@ -789,7 +823,7 @@ impl Network {
                 let flits: Vec<Flit> =
                     self.chans.fifo_iter(node.idx(), port.idx(), v).copied().collect();
                 for f in &flits {
-                    let crossed = flits.iter().any(|g| g.msg == f.msg && ends_message(g));
+                    let crossed = flits.iter().any(|g| g.msg == f.msg && g.ends_message());
                     if !crossed {
                         dead.insert(f.msg);
                     }
@@ -1359,8 +1393,12 @@ impl Network {
         if self.dense_reference {
             cur.extend(0..self.chans.geo().nodes as u32);
         } else {
-            self.active_list.sort_unstable();
-            cur.append(&mut self.active_list);
+            // the prune left an ascending prefix; only the nodes marked
+            // since (sends, retries) need sorting before the merge
+            let (kept, marked) = self.active_list.split_at_mut(self.active_sorted);
+            marked.sort_unstable();
+            merge_ascending(kept, marked, &mut cur);
+            self.active_list.clear();
         }
         for scr in &mut self.shard_scratch {
             scr.moved = false;
@@ -1375,12 +1413,15 @@ impl Network {
 
         // nodes that received their first flit during link traversal must
         // route and arbitrate it THIS cycle, exactly as the dense scan does
+        // (they were inactive at step entry, so they are disjoint from cur)
         let mut cur_ext = std::mem::take(&mut self.scratch.cur_ext);
         cur_ext.clear();
-        cur_ext.extend_from_slice(&cur);
         if !self.dense_reference && !self.active_list.is_empty() {
-            cur_ext.append(&mut self.active_list);
-            cur_ext.sort_unstable();
+            self.active_list.sort_unstable();
+            merge_ascending(&cur, &self.active_list, &mut cur_ext);
+            self.active_list.clear();
+        } else {
+            cur_ext.extend_from_slice(&cur);
         }
 
         // 3. injection (staging -> injection FIFO) + 4. routing decisions;
@@ -1421,13 +1462,18 @@ impl Network {
         }
         debug_assert!(self.active_list.is_empty());
         for &ni in &cur_ext {
-            let ni = ni as usize;
-            let w = self.chans.has_work(ni);
-            self.active_mask[ni] = w;
-            if w {
-                self.active_list.push(ni as u32);
-            }
+            self.active_mask[ni as usize] = false;
         }
+        // the shards recorded which nodes still hold work as they finished
+        // them (credit returns since move no flit); shard order keeps the
+        // survivors ascending
+        for scr in &mut self.shard_scratch {
+            for &ni in &scr.busy {
+                self.active_mask[ni as usize] = true;
+            }
+            self.active_list.append(&mut scr.busy);
+        }
+        self.active_sorted = self.active_list.len();
         cur.clear();
         self.scratch.cur = cur;
         cur_ext.clear();
@@ -1693,6 +1739,24 @@ impl Network {
     }
 }
 
+/// Merges two ascending, disjoint node-id lists into `out` (appended).
+fn merge_ascending(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.reserve(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        debug_assert_ne!(a[i], b[j], "merged lists must be disjoint");
+        if a[i] < b[j] {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+}
+
 /// Restricts a sorted node-id slice to the half-open range `lo..hi`.
 fn sub_range(xs: &[u32], lo: usize, hi: usize) -> &[u32] {
     let a = xs.partition_point(|&x| (x as usize) < lo);
@@ -1720,9 +1784,10 @@ fn phase_link(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
         let n = NodeId(ni);
         let ni = ni as usize;
         for p in 0..ctx.degree {
-            let Some((vc, flit)) = t.ch.take_out_reg(ni, p) else {
+            if !t.ch.reg_busy(ni, p) {
                 continue;
-            };
+            }
+            let (vc, flit) = t.ch.take_out_reg(ni, p).expect("register busy");
             let port = PortId(p as u8);
             if !ctx.links.usable(n, port) {
                 // caught on a just-dead link — the master applies the
@@ -1756,32 +1821,37 @@ fn phase_inject(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
     }
 }
 
-/// Routing decisions over the extended working set.
+/// Routing decisions over the extended working set: one walk over each
+/// node's lane records, consulting the lanes with an unrouted head at the
+/// front.
 fn phase_route(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
     for &ni in t.cur_ext {
         let n = NodeId(ni);
         if ctx.links.node_faulty(n) {
             continue;
         }
-        for ip in 0..=ctx.degree {
-            let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
-            for iv in 0..lanes {
+        let ni = ni as usize;
+        let (mut ip, mut iv) = (0, 0);
+        for l in 0..ctx.degree * ctx.vcs + 1 {
+            let lane = t.ch.lane_at(ni, l);
+            if lane.len() != 0
+                && lane.route() == RouteState::Unrouted
+                && t.ch.fifo_front(ni, ip, iv).is_some_and(|f| f.kind == FlitKind::Head)
+            {
                 route_one(ctx, t, n, ip, iv);
+            }
+            iv += 1;
+            if iv == ctx.vcs {
+                (ip, iv) = (ip + 1, 0);
             }
         }
     }
 }
 
-/// Decision handling for one input VC.
+/// Decision handling for input VC `(ip, iv)`, whose FIFO front is an
+/// unrouted head.
 fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv: usize) {
     let ni = n.idx();
-    if t.ch.route(ni, ip, iv) != RouteState::Unrouted {
-        return;
-    }
-    match t.ch.fifo_front(ni, ip, iv) {
-        Some(f) if f.header().is_some() => {}
-        _ => return,
-    }
 
     // advance the decision countdown
     match t.ch.phase_of(ni, ip, iv) {
@@ -1797,8 +1867,7 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
     }
 
     let in_port = if ip < ctx.degree { Some(PortId(ip as u8)) } else { None };
-    let header_copy =
-        *t.ch.fifo_front_mut(ni, ip, iv).and_then(|f| f.header_mut()).expect("head checked");
+    let header_copy = t.ch.fifo_front(ni, ip, iv).and_then(Flit::header).expect("head checked");
 
     // destination reached: deliver without consulting the algorithm
     if header_copy.dst == n {
@@ -1826,9 +1895,7 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
     let mut header = header_copy;
     let dec = t.ctrls[ni - t.lo].route(&view, &mut header, in_port, VcId(iv as u8));
     // write back header updates
-    if let Some(h) = t.ch.fifo_front_mut(ni, ip, iv).and_then(|f| f.header_mut()) {
-        *h = header;
-    }
+    t.ch.fifo_front_mut(ni, ip, iv).expect("head checked").set_header(header);
 
     let first_sight = t.ch.phase_of(ni, ip, iv).is_none();
     if first_sight {
@@ -1911,13 +1978,9 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
                 });
             }
             if ok {
-                let misrouted =
-                    t.ch.fifo_front(ni, ip, iv)
-                        .and_then(|f| f.header())
-                        .is_some_and(|h| h.misrouted);
                 t.ch.set_out_owner(ni, p.idx(), v.idx(), Some(header_copy.msg));
                 t.ch.set_route(ni, ip, iv, RouteState::Out(p, v));
-                t.ch.set_misrouted(ni, ip, iv, misrouted);
+                t.ch.set_misrouted(ni, ip, iv, header.misrouted);
                 t.ch.add_out_assigned(ni, p.idx(), header_copy.len_flits);
                 emit_sh(ctx, t.scr, || EventKind::VcAcquire {
                     node: n,
@@ -1934,6 +1997,10 @@ fn route_one(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>, n: NodeId, ip: usize, iv:
 fn phase_eject_switch(ctx: &StepCtx<'_>, t: &mut ShardTask<'_>) {
     for &ni in t.cur_ext {
         eject_switch_node(ctx, &mut t.ch, t.scr, ni as usize);
+        // this node's last touch this cycle: whether it stays active
+        if t.ch.has_work(ni as usize) {
+            t.scr.busy.push(ni);
+        }
     }
 }
 
@@ -1950,12 +2017,6 @@ struct Cand {
     ov: VcId,
     /// The lane's misrouted marker (fairness pass).
     misrouted: bool,
-}
-
-/// Whether `f` is the last flit of its message.
-#[inline]
-fn ends_message(f: &Flit) -> bool {
-    matches!(f.kind, FlitKind::Tail) || matches!(f.kind, FlitKind::Head(h) if h.len_flits <= 1)
 }
 
 /// Ejection then switch allocation at node `ni`, in one walk over its
@@ -1979,43 +2040,45 @@ fn eject_switch_node(ctx: &StepCtx<'_>, ch: &mut ChanRef<'_>, scr: &mut ShardScr
     let mut cands = std::mem::take(&mut scr.cands);
     cands.clear();
 
-    let mut slot = 0;
-    for ip in 0..nports {
-        let lanes = if ip == ctx.degree { 1 } else { ctx.vcs };
-        for iv in 0..lanes {
-            let here = slot;
-            slot += 1;
-            if ch.fifo_len(ni, ip, iv) == 0 {
-                continue;
-            }
-            match ch.route(ni, ip, iv) {
-                // ejection first (delivery has priority on the input port)
-                RouteState::Local if !scr.used[ip] => {
-                    let flit = ch.fifo_pop_front(ni, ip, iv).expect("checked");
-                    scr.moved = true;
-                    scr.used[ip] = true;
-                    if let Some(h) = flit.header() {
-                        scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
-                    }
-                    if ends_message(&flit) {
-                        scr.ops.push(StatOp::Deliver(flit.msg));
-                        emit_sh(ctx, scr, || EventKind::Deliver { node: n, msg: flit.msg.0 });
-                        ch.reset_route(ni, ip, iv);
-                    }
-                    if ip < ctx.degree {
-                        scr.credit_returns.push((ni as u32, ip as u8, iv as u8));
-                    }
+    // the arbitration slot `ip * vcs + iv` is the node-relative lane index
+    let (mut ip, mut iv) = (0, 0);
+    for slot in 0..ctx.degree * ctx.vcs + 1 {
+        let lane = ch.lane_at(ni, slot);
+        let (lip, liv) = (ip, iv);
+        iv += 1;
+        if iv == ctx.vcs {
+            (ip, iv) = (ip + 1, 0);
+        }
+        if lane.len() == 0 {
+            continue;
+        }
+        match lane.route() {
+            // ejection first (delivery has priority on the input port)
+            RouteState::Local if !scr.used[lip] => {
+                let flit = ch.pop_lane(ni, slot).expect("checked");
+                scr.moved = true;
+                scr.used[lip] = true;
+                if let Some(h) = flit.header() {
+                    scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
                 }
-                RouteState::Out(p, ov) => cands.push(Cand {
-                    slot: here,
-                    ip,
-                    iv,
-                    port: p.idx(),
-                    ov,
-                    misrouted: ch.misrouted(ni, ip, iv),
-                }),
-                _ => {}
+                if flit.ends_message() {
+                    scr.ops.push(StatOp::Deliver(flit.msg));
+                    emit_sh(ctx, scr, || EventKind::Deliver { node: n, msg: flit.msg.0 });
+                    ch.reset_route(ni, lip, liv);
+                }
+                if lip < ctx.degree {
+                    scr.credit_returns.push((ni as u32, lip as u8, liv as u8));
+                }
             }
+            RouteState::Out(p, ov) => cands.push(Cand {
+                slot,
+                ip: lip,
+                iv: liv,
+                port: p.idx(),
+                ov,
+                misrouted: lane.misrouted(),
+            }),
+            _ => {}
         }
     }
 
@@ -2029,7 +2092,7 @@ fn eject_switch_node(ctx: &StepCtx<'_>, ch: &mut ChanRef<'_>, scr: &mut ShardScr
         let len = rest.iter().position(|c| c.port != p).unwrap_or(rest.len());
         let (run, tail) = rest.split_at(len);
         rest = tail;
-        if ch.out_reg(ni, p).is_some() {
+        if ch.reg_busy(ni, p) {
             continue;
         }
         let start = ch.rr(ni, p) as usize;
@@ -2051,12 +2114,10 @@ fn eject_switch_node(ctx: &StepCtx<'_>, ch: &mut ChanRef<'_>, scr: &mut ShardScr
         let Some(Cand { slot, ip, iv, ov, .. }) = winner else { continue };
         ch.set_rr(ni, p, if slot + 1 == slots { 0 } else { slot + 1 } as u32);
         scr.used[ip] = true;
-        let mut flit = ch.fifo_pop_front(ni, ip, iv).expect("winner has flit");
+        let mut flit = ch.pop_lane(ni, slot).expect("winner has flit");
         scr.moved = true;
-        if let Some(h) = flit.header_mut() {
-            h.hops += 1;
-        }
-        if ends_message(&flit) {
+        flit.bump_hops();
+        if flit.ends_message() {
             ch.reset_route(ni, ip, iv);
             ch.set_out_owner(ni, p, ov.idx(), None);
             emit_sh(ctx, scr, || EventKind::VcRelease {
@@ -2106,7 +2167,7 @@ fn fill_view(
         for v in 0..vcs {
             vd.out_free[p][v] = alive && ch.out_channel_free(ni, p, v);
         }
-        vd.out_load[p] = ch.out_assigned(ni, p) + ch.out_reg(ni, p).is_some() as u32;
+        vd.out_load[p] = ch.out_assigned(ni, p) + ch.reg_busy(ni, p) as u32;
     }
 }
 
@@ -2310,6 +2371,79 @@ mod tests {
             Network::builder(topo.clone()).build(&NoVc).err(),
             Some(BuildError::NoVirtualChannels)
         );
+    }
+
+    /// One node with `degree` unwired ports.
+    struct Lonely(usize);
+
+    impl Topology for Lonely {
+        fn name(&self) -> String {
+            format!("lonely/{}", self.0)
+        }
+        fn num_nodes(&self) -> usize {
+            1
+        }
+        fn degree(&self) -> usize {
+            self.0
+        }
+        fn neighbor(&self, _n: NodeId, _p: PortId) -> Option<NodeId> {
+            None
+        }
+        fn min_distance(&self, _a: NodeId, _b: NodeId) -> u32 {
+            0
+        }
+    }
+
+    /// An algorithm on `vcs` virtual channels whose controllers wait.
+    struct Waits(usize);
+    struct WaitCtl;
+
+    impl RoutingAlgorithm for Waits {
+        fn name(&self) -> String {
+            "waits".into()
+        }
+        fn num_vcs(&self) -> usize {
+            self.0
+        }
+        fn controller(&self, _t: &dyn Topology, _n: NodeId) -> Box<dyn NodeController> {
+            Box::new(WaitCtl)
+        }
+    }
+
+    impl NodeController for WaitCtl {
+        fn route(
+            &mut self,
+            _v: &RouterView<'_>,
+            _h: &mut Header,
+            _ip: Option<PortId>,
+            _iv: VcId,
+        ) -> Decision {
+            Decision::new(Verdict::Wait, 1)
+        }
+    }
+
+    /// Shapes the arena cannot address are typed build errors; the
+    /// largest addressable ones build.
+    #[test]
+    fn builder_rejects_shapes_the_arena_cannot_address() {
+        let build = |degree: usize, vcs: usize, depth: u32| {
+            Network::builder(Arc::new(Lonely(degree))).buffer_depth(depth).build(&Waits(vcs))
+        };
+        let cases = [
+            ((1, 256, 4), BuildError::TooManyVirtualChannels(256)),
+            ((257, 1, 4), BuildError::DegreeTooLarge(257)),
+            ((1, 1, 65_536), BuildError::BufferDepthTooLarge(65_536)),
+        ];
+        for ((degree, vcs, depth), want) in cases {
+            let err = build(degree, vcs, depth).err();
+            assert_eq!(err, Some(want), "degree {degree}, {vcs} VCs, depth {depth}");
+            assert!(!want.to_string().is_empty());
+        }
+        for (degree, vcs, depth) in [(1, 255, 4), (256, 1, 4), (1, 1, 65_535)] {
+            let mut net = build(degree, vcs, depth).expect("addressable shape");
+            net.step();
+            assert_eq!(net.cycle(), 1);
+        }
     }
 
     #[test]
@@ -2858,8 +2992,7 @@ mod tests {
                 if let Some(h) = flit.header() {
                     scr.ops.push(StatOp::HeadArrival(flit.msg, h.hops));
                 }
-                let is_tail = matches!(flit.kind, FlitKind::Tail)
-                    || matches!(flit.kind, FlitKind::Head(h) if h.len_flits <= 1);
+                let is_tail = flit.ends_message();
                 if is_tail {
                     scr.ops.push(StatOp::Deliver(flit.msg));
                     emit_sh(ctx, scr, || EventKind::Deliver { node: n, msg: flit.msg.0 });
@@ -2908,11 +3041,8 @@ mod tests {
             scr.used[ip] = true;
             let mut flit = ch.fifo_pop_front(ni, ip, iv).expect("winner has flit");
             scr.moved = true;
-            if let Some(h) = flit.header_mut() {
-                h.hops += 1;
-            }
-            let is_tail = matches!(flit.kind, FlitKind::Tail)
-                || matches!(flit.kind, FlitKind::Head(h) if h.len_flits <= 1);
+            flit.bump_hops();
+            let is_tail = flit.ends_message();
             if is_tail {
                 ch.reset_route(ni, ip, iv);
                 ch.set_out_owner(ni, p, ov.idx(), None);
@@ -2951,7 +3081,7 @@ mod tests {
                 let len = if rng.below(sparsity) == 0 { 1 + rng.below(depth) } else { 0 };
                 for seq in 0..len {
                     msg += 1;
-                    let kind = match rng.below(3) {
+                    let flit = match rng.below(3) {
                         0 => {
                             let mut h = Header::new(
                                 MessageId(msg),
@@ -2961,17 +3091,14 @@ mod tests {
                             );
                             h.misrouted = rng.below(2) == 0;
                             h.hops = rng.below(5) as u32;
-                            FlitKind::Head(h)
+                            let mut f = Flit::head(h);
+                            f.seq = seq as u32;
+                            f
                         }
-                        1 => FlitKind::Body,
-                        _ => FlitKind::Tail,
+                        1 => Flit::new(FlitKind::Body, MessageId(msg), seq as u32),
+                        _ => Flit::new(FlitKind::Tail, MessageId(msg), seq as u32),
                     };
-                    ch.fifo_push_back(
-                        0,
-                        ip,
-                        iv,
-                        Flit { kind, msg: MessageId(msg), seq: seq as u32 },
-                    );
+                    ch.fifo_push_back(0, ip, iv, flit);
                 }
                 let route = match rng.below(5) {
                     0 => RouteState::Unrouted,
@@ -2992,7 +3119,7 @@ mod tests {
                 }
             }
             if rng.below(4) == 0 {
-                let f = Flit { kind: FlitKind::Body, msg: MessageId(u64::MAX), seq: 0 };
+                let f = Flit::new(FlitKind::Body, MessageId(u64::MAX), 0);
                 ch.set_out_reg(0, p, Some((VcId(rng.below(vcs) as u8), f)));
             }
             ch.set_rr(0, p, rng.below((degree + 1) * vcs) as u32);
@@ -3077,7 +3204,7 @@ mod tests {
             let mut chans = Channels::new(Geometry::new(1, 4, 1, 2));
             let mut ch = chans.full_mut();
             for (ip, msg, misrouted) in [(1usize, 1u64, false), (2, 2, true)] {
-                let f = Flit { kind: FlitKind::Body, msg: MessageId(msg), seq: 1 };
+                let f = Flit::new(FlitKind::Body, MessageId(msg), 1);
                 ch.fifo_push_back(0, ip, 0, f);
                 ch.set_route(0, ip, 0, RouteState::Out(EAST, VcId(0)));
                 ch.set_misrouted(0, ip, 0, misrouted);
