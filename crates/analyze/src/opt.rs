@@ -556,12 +556,21 @@ pub fn optimize_rulebase(
             for (ri, rule) in rb.rules.iter().enumerate() {
                 let mut found = Vec::new();
                 collect_folds(&work.prog, &env, &rule.premise, &mut found);
-                for (atom, truth) in found {
-                    folds.push(Rewrite::FoldAtom { base: rb.name.clone(), rule: ri, atom, truth });
-                }
+                // larger atoms first: a fold replaces every occurrence of
+                // its atom, so folding a nested atom first would leave the
+                // atom around it nowhere to be found
+                found.sort_by_key(|(atom, _)| std::cmp::Reverse(expr_size(atom)));
+                folds.extend(found.into_iter().map(|(atom, truth)| (bi, ri, atom, truth)));
             }
         }
-        for rw in folds {
+        for (bi, ri, atom, truth) in folds {
+            let rb = &work.prog.rulebases[bi];
+            // a duplicate, or an atom that only occurred inside one folded
+            // before it, has already been replaced
+            if !contains_subexpr(&rb.rules[ri].premise, &atom) {
+                continue;
+            }
+            let rw = Rewrite::FoldAtom { base: rb.name.clone(), rule: ri, atom, truth };
             commit(&mut work, &mut cert, rw, &compiled, &facts)?;
         }
     }
@@ -763,6 +772,39 @@ mod tests {
             .iter()
             .any(|r| matches!(r, Rewrite::SpecializeRegister { var, .. } if var == "flag")));
         assert!(o.cert.rewrites.iter().any(|r| matches!(r, Rewrite::DeleteRule { .. })));
+        verify(&prog, &o, &opts()).unwrap();
+    }
+
+    #[test]
+    fn repeated_and_nested_forced_atoms_fold_once() {
+        // `flags` is never written, so `flags(i)` is forced FALSE, and
+        // rule 0 reads it twice. `x < 8` is forced TRUE, and rule 1 has it
+        // both alone and inside the forced `x < 8 OR go`. One fold
+        // replaces every occurrence, so neither the repeat nor the nested
+        // copy is folded again.
+        let prog = parse(
+            "CONSTANT dirs = 0 TO 3\n\
+             VARIABLE flags[dirs] IN bool\n\
+             INPUT go IN bool\n\
+             INPUT x IN 0 TO 7\n\
+             ON f() RETURNS 0 TO 3\n\
+               IF NOT (EXISTS i IN dirs: flags(i)) AND go AND NOT (EXISTS i IN dirs: flags(i)) THEN RETURN(1);\n\
+               IF (x < 8 AND x > 2) AND (x < 8 OR go) THEN RETURN(2);\n\
+               IF TRUE THEN RETURN(0);\n\
+             END f;",
+        )
+        .unwrap();
+        let o = optimize_rulebase("t", &prog, &opts()).unwrap();
+        let folds: Vec<usize> = o
+            .cert
+            .rewrites
+            .iter()
+            .filter_map(|r| match r {
+                Rewrite::FoldAtom { rule, .. } => Some(*rule),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(folds, vec![0, 1, 1], "one fold per distinct atom and rule");
         verify(&prog, &o, &opts()).unwrap();
     }
 

@@ -54,20 +54,6 @@ fn bench_decision(c: &mut Criterion) {
         )
     });
 
-    g.bench_function("direct_threaded_bytecode", |b| {
-        let vm = ftr_rules::VmProgram::lower(&compiled).unwrap();
-        let mut sc = ftr_rules::vm::Scratch::new();
-        let mut i = 0usize;
-        b.iter_batched(
-            || regs.clone(),
-            |mut r| {
-                i = (i + 1) % inputs.len();
-                black_box(vm.bases[0].fire(&prog, &[], &mut r, &inputs[i], &mut sc).unwrap())
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
     g.bench_function("sequential_rule_scan", |b| {
         let mut i = 0usize;
         b.iter_batched(

@@ -29,7 +29,7 @@
 use ftr_algos::{Nafta, XyRouting};
 use ftr_bench::harness;
 use ftr_obs::json;
-use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, SimEngine, SimStats, TrafficSource};
+use ftr_sim::{FaultPlan, Network, Pattern, RetryPolicy, SimStats, TrafficSource};
 use ftr_topo::{Mesh2D, NodeId};
 use std::sync::Arc;
 use std::time::Instant;
@@ -54,13 +54,13 @@ fn schedule(mesh: &Mesh2D, load: f64, cycles: u64) -> Schedule {
     (0..cycles).map(|_| tf.tick(mesh, &faults)).collect()
 }
 
-/// Replays `sched` once through the engine facade; returns (elapsed
-/// seconds over the timed window, final stats).
+/// Replays `sched` once; returns (elapsed seconds over the timed window,
+/// final stats).
 fn replay(mesh: &Mesh2D, sched: &Schedule, threads: usize, spawn: usize) -> (f64, SimStats) {
-    let mut net: Box<dyn SimEngine> = Network::builder(Arc::new(mesh.clone()))
+    let mut net = Network::builder(Arc::new(mesh.clone()))
         .threads(threads)
         .spawn_threshold(spawn)
-        .build_engine(&XyRouting::new(mesh.clone()))
+        .build(&XyRouting::new(mesh.clone()))
         .expect("valid config");
     let t0 = Instant::now();
     for cycle in sched {
@@ -71,7 +71,7 @@ fn replay(mesh: &Mesh2D, sched: &Schedule, threads: usize, spawn: usize) -> (f64
     }
     let secs = t0.elapsed().as_secs_f64();
     net.drain(500_000);
-    (secs, net.stats().clone())
+    (secs, net.stats)
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -86,18 +86,18 @@ fn campaign_bit_identity(thread_counts: &[usize]) {
     let mut finals: Vec<(usize, SimStats)> = Vec::new();
     for &t in thread_counts {
         let plan = FaultPlan::random_transient_links(&mesh, 8, 200..1_400, 200, 1);
-        let mut net: Box<dyn SimEngine> = Network::builder(Arc::new(mesh.clone()))
+        let mut net = Network::builder(Arc::new(mesh.clone()))
             .threads(t)
             .spawn_threshold(0) // force real OS threads even on 36 nodes
             .fault_plan(plan)
             .retry(RetryPolicy { max_attempts: 8, backoff_cycles: 64 })
-            .build_engine(&Nafta::new(mesh.clone()))
+            .build(&Nafta::new(mesh.clone()))
             .expect("valid config");
         net.set_measuring(true);
         let mut tf = TrafficSource::new(Pattern::Uniform, 0.15, 16, 1 ^ 0x5ca1e);
-        harness::drive(net.as_mut(), &mut tf, 1_800);
+        harness::drive(&mut net, &mut tf, 1_800);
         assert!(net.drain(60_000), "campaign run must drain at {t} threads");
-        finals.push((t, net.stats().clone()));
+        finals.push((t, net.stats.clone()));
     }
     let (t0, ref base) = finals[0];
     assert!(base.injected_msgs > 100, "campaign must carry real load");

@@ -310,42 +310,6 @@ fn inv_par(v: &Value, out: &mut Vec<String>) {
     }
 }
 
-fn inv_vm(v: &Value, out: &mut Vec<String>) {
-    require_positive(v, "micro.fires", out);
-    require_positive(v, "micro.table_ns_per_fire", out);
-    require_positive(v, "micro.bytecode_ns_per_fire", out);
-    if num(v, "micro.speedup").is_none_or(|s| s < 1.0) {
-        out.push("`micro.speedup` must be >= 1.0".to_string());
-    }
-    match v.get("campaigns").and_then(|a| a.as_arr()) {
-        Some(camps) => {
-            let names: Vec<&str> =
-                camps.iter().filter_map(|c| c.get("program").and_then(|x| x.as_str())).collect();
-            for want in ["nafta", "route_c"] {
-                if !names.contains(&want) {
-                    out.push(format!("`campaigns` lacks the {want} entry"));
-                }
-            }
-            for c in camps {
-                let name = c.get("program").and_then(|x| x.as_str()).unwrap_or("?");
-                if c.get("bit_identical").and_then(|x| x.as_bool()) != Some(true) {
-                    out.push(format!("campaign `{name}` is not bit-identical"));
-                }
-                if c.get("delivered_msgs").and_then(|x| x.as_u64()).is_none_or(|d| d == 0) {
-                    out.push(format!("campaign `{name}` delivered nothing"));
-                }
-                for arm in ["table", "bytecode", "table_opt", "bytecode_opt"] {
-                    let k = format!("wall_ms_{arm}");
-                    if c.get(&k).and_then(|x| x.as_f64()).is_none_or(|x| x <= 0.0) {
-                        out.push(format!("campaign `{name}` `{k}` must be positive"));
-                    }
-                }
-            }
-        }
-        None => out.push("`campaigns` must be an array".to_string()),
-    }
-}
-
 fn inv_trace(v: &Value, out: &mut Vec<String>) {
     require_positive(v, "events", out);
     require_positive(v, "jsonl_bytes", out);
@@ -410,8 +374,8 @@ pub fn gates() -> &'static [Gate] {
         bar: Some(10.0),
         rel_tol: None,
     }];
-    // E19/E20 wall-clock numbers are machine-bound and noisy on shared
-    // runners; their gates are invariant-only (bit-identity and shape)
+    // E19 wall-clock numbers are machine-bound and noisy on shared
+    // runners; its gate is invariant-only (bit-identity and shape)
     const TRACE_METRICS: &[MetricSpec] = &[
         MetricSpec { path: "size_ratio", better: Better::Higher, bar: Some(4.0), rel_tol: None },
         MetricSpec {
@@ -449,7 +413,6 @@ pub fn gates() -> &'static [Gate] {
         Gate { file: "BENCH_step", experiment: "E17", invariants: inv_step, metrics: STEP_METRICS },
         Gate { file: "BENCH_opt", experiment: "E18", invariants: inv_opt, metrics: OPT_METRICS },
         Gate { file: "BENCH_par", experiment: "E19", invariants: inv_par, metrics: &[] },
-        Gate { file: "BENCH_vm", experiment: "E20", invariants: inv_vm, metrics: &[] },
         Gate {
             file: "BENCH_trace",
             experiment: "E21",
@@ -536,7 +499,7 @@ mod tests {
     fn lower_is_better_uses_min_of_k() {
         let spec =
             MetricSpec { path: "ns", better: Better::Lower, bar: Some(100.0), rel_tol: None };
-        let gate = gate_for("BENCH_vm"); // any gate works; only file name is used
+        let gate = gate_for("BENCH_detect"); // any gate works; only file name is used
         let fresh = json::parse(r#"{"ns":[250.0,90.0,300.0]}"#).unwrap();
         let base = json::parse(r#"{"ns":[95.0]}"#).unwrap();
         let mut out = Vec::new();

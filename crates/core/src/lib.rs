@@ -29,8 +29,7 @@ pub use report::HardwareReport;
 pub use rule_router::{MeshInterface, RuleRouter};
 
 use ftr_rules::{
-    compile, cost, Backend, CompileOptions, CompiledProgram, Machine, ProgramCost, Result,
-    StepWeights, VmProgram,
+    compile, cost, CompileOptions, CompiledProgram, Machine, ProgramCost, Result, StepWeights,
 };
 use std::sync::Arc;
 
@@ -53,14 +52,6 @@ pub struct RouterConfiguration {
     /// True when `compiled` came out of the certified optimizer rather
     /// than straight from source.
     pub optimized: bool,
-    /// Which rule-execution backend node machines run on. Defaults to the
-    /// `FTR_BACKEND` environment variable (`table` unless it says
-    /// `bytecode`); override with [`RouterConfiguration::with_backend`].
-    pub backend: Backend,
-    /// The lowered bytecode, shared by every node machine when `backend`
-    /// is [`Backend::Bytecode`] (lowered once per configuration, not per
-    /// node).
-    pub bytecode: Option<Arc<VmProgram>>,
 }
 
 impl RouterConfiguration {
@@ -70,16 +61,13 @@ impl RouterConfiguration {
     /// standard [`CompiledProgram`].
     pub fn from_compiled(name: &str, compiled: CompiledProgram) -> Result<Self> {
         let cost = cost::analyze(&compiled.prog, &CompileOptions::default())?;
-        RouterConfiguration {
+        Ok(RouterConfiguration {
             name: name.to_string(),
             compiled: Arc::new(compiled),
             cost,
             step_weights: None,
             optimized: false,
-            backend: Backend::Table,
-            bytecode: None,
-        }
-        .with_backend(Backend::from_env())
+        })
     }
 
     /// Installs modeled per-rule step weights and tags the configuration
@@ -91,30 +79,12 @@ impl RouterConfiguration {
         self
     }
 
-    /// Selects the rule-execution backend. [`Backend::Bytecode`] lowers
-    /// the compiled program once here; every node machine then shares the
-    /// lowered [`VmProgram`]. Lowering validates the code, so a
-    /// configuration carrying bytecode is known-loadable.
-    pub fn with_backend(mut self, backend: Backend) -> Result<Self> {
-        self.backend = backend;
-        self.bytecode = match backend {
-            Backend::Table => None,
-            Backend::Bytecode => Some(Arc::new(VmProgram::lower(&self.compiled)?)),
-        };
-        Ok(self)
-    }
-
     /// A node machine on the shared program, with this configuration's
-    /// step weights and backend installed.
+    /// step weights installed.
     pub fn machine(&self) -> Machine {
         let mut machine = Machine::from_compiled(Arc::clone(&self.compiled));
         if let Some(w) = &self.step_weights {
             machine.set_step_weights(Arc::clone(w));
-        }
-        if let Some(vm) = &self.bytecode {
-            machine
-                .set_bytecode(Arc::clone(vm))
-                .expect("bytecode was validated when the configuration was built");
         }
         machine
     }
@@ -126,16 +96,13 @@ pub fn configure(name: &str, src: &str) -> Result<RouterConfiguration> {
     let prog = ftr_rules::parse(src)?;
     let compiled = compile(&prog, &opts)?;
     let cost = cost::analyze(&prog, &opts)?;
-    RouterConfiguration {
+    Ok(RouterConfiguration {
         name: name.to_string(),
         compiled: Arc::new(compiled),
         cost,
         step_weights: None,
         optimized: false,
-        backend: Backend::Table,
-        bytecode: None,
-    }
-    .with_backend(Backend::from_env())
+    })
 }
 
 #[cfg(test)]

@@ -3,8 +3,7 @@
 //! map across decisions decides exactly like a freshly built one.
 
 use ftr_algos::rules_src;
-use ftr_core::{configure, CubeRuleRouter, RouterConfiguration, RuleRouter};
-use ftr_rules::Backend;
+use ftr_core::{configure, CubeRuleRouter, RuleRouter};
 use ftr_sim::flit::Header;
 use ftr_sim::routing::{Decision, NodeController, RouterView, RoutingAlgorithm};
 use ftr_sim::MessageId;
@@ -60,10 +59,6 @@ fn allocations(f: impl FnOnce()) -> usize {
     f();
     ARMED.with(|a| a.set(false));
     ALLOCS.load(Ordering::Relaxed) - before
-}
-
-fn table(name: &str, src: &str) -> RouterConfiguration {
-    configure(name, src).unwrap().with_backend(Backend::Table).unwrap()
 }
 
 /// One routing query: the node's router state and the head it routes.
@@ -136,10 +131,10 @@ fn configurations() -> Vec<Config> {
         ("west_first", rules_src::WEST_FIRST, 1),
         ("nafta", rules_src::NAFTA, 2),
     ] {
-        let algo = RuleRouter::new(table(name, src), mesh.clone(), vcs);
+        let algo = RuleRouter::new(configure(name, src).unwrap(), mesh.clone(), vcs);
         out.push((Box::new(algo), Box::new(mesh.clone()), mesh_nodes.clone()));
     }
-    let routec = table("route_c", &rules_src::route_c_source(6));
+    let routec = configure("route_c", &rules_src::route_c_source(6)).unwrap();
     out.push((
         Box::new(CubeRuleRouter::new(routec, cube.clone())),
         Box::new(cube),

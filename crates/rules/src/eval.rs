@@ -187,11 +187,9 @@ pub fn eval_expr(ctx: &mut EvalCtx<'_>, e: &Expr) -> Result<Value> {
 }
 
 /// Applies a non-short-circuit binary operator to evaluated operands.
-/// Shared by the reference evaluator and the bytecode backend
-/// (`crate::vm`), so operator semantics cannot drift between the two.
 /// `And`/`Or` are rejected — they are short-circuit control flow, handled
-/// by [`eval_expr`] directly and lowered to branches by the VM.
-pub(crate) fn apply_bin(prog: &Program, op: BinOp, lv: &Value, rv: &Value) -> Result<Value> {
+/// by [`eval_expr`] directly.
+fn apply_bin(prog: &Program, op: BinOp, lv: &Value, rv: &Value) -> Result<Value> {
     match op {
         BinOp::Add => Ok(Value::Int(lv.as_int()? + rv.as_int()?)),
         BinOp::Sub => Ok(Value::Int(lv.as_int()? - rv.as_int()?)),
@@ -217,10 +215,8 @@ fn eval_builtin(ctx: &mut EvalCtx<'_>, b: Builtin, args: &[Expr]) -> Result<Valu
     with_values(ctx, args, |ctx, vals| apply_builtin(ctx.prog, ctx.inputs, b, vals))
 }
 
-/// Applies a builtin to already-evaluated argument values. Shared by the
-/// reference evaluator and the bytecode backend (`crate::vm`), so builtin
-/// semantics cannot drift between the two.
-pub(crate) fn apply_builtin(
+/// Applies a builtin to already-evaluated argument values.
+fn apply_builtin(
     prog: &Program,
     inputs: &dyn InputProvider,
     b: Builtin,

@@ -13,7 +13,7 @@
 //! `!event` to a rule-base index, and a host resolves its entry events once
 //! ([`Machine::base_index`]) and fires them with [`Machine::fire_base`].
 //! The machine keeps its cascade buffers between fires, so a steady-state
-//! decision on the table backend compares no string and allocates nothing.
+//! decision compares no string and allocates nothing.
 //!
 //! Every rule-base interpretation counts as one **step** — the quantity the
 //! paper's §5 reports as "number of consecutive rule interpretations"
@@ -27,7 +27,6 @@ use crate::eval::{Effects, EventInstance, FireOutcome};
 use crate::interp::CompiledProgram;
 use crate::probe::InterpProbe;
 use crate::value::Value;
-use crate::vm::{Backend, Scratch, VmProgram};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Arc;
@@ -119,9 +118,6 @@ pub struct Machine {
     out: CascadeOutcome,
     probe: Option<Arc<dyn InterpProbe>>,
     step_weights: Option<Arc<StepWeights>>,
-    /// When set, rule bases execute on the bytecode VM instead of the
-    /// table interpreter; the scratch frame is reused across fires.
-    vm: Option<(Arc<VmProgram>, Scratch)>,
     /// Safety budget per external fire: livelock guard for cyclic event
     /// generation.
     pub max_internal_events: u32,
@@ -151,42 +147,8 @@ impl Machine {
             out: CascadeOutcome::default(),
             probe: None,
             step_weights: None,
-            vm: None,
             max_internal_events: 10_000,
             stats: MachineStats { per_base: vec![0; n], ..Default::default() },
-        }
-    }
-
-    /// Selects the rule-execution backend. `Backend::Bytecode` lowers the
-    /// compiled program on the spot; use [`Machine::set_bytecode`] to share
-    /// one lowered program across machines.
-    pub fn set_backend(&mut self, backend: Backend) -> Result<()> {
-        match backend {
-            Backend::Table => {
-                self.vm = None;
-                Ok(())
-            }
-            Backend::Bytecode => {
-                let vm = VmProgram::lower(&self.compiled)?;
-                self.set_bytecode(Arc::new(vm))
-            }
-        }
-    }
-
-    /// Installs a pre-lowered bytecode program (validated against this
-    /// machine's compiled program before it is accepted).
-    pub fn set_bytecode(&mut self, vm: Arc<VmProgram>) -> Result<()> {
-        vm.validate(&self.compiled)?;
-        self.vm = Some((vm, Scratch::new()));
-        Ok(())
-    }
-
-    /// The backend this machine currently executes on.
-    pub fn backend(&self) -> Backend {
-        if self.vm.is_some() {
-            Backend::Bytecode
-        } else {
-            Backend::Table
         }
     }
 
@@ -342,67 +304,41 @@ impl Machine {
     ) -> Result<()> {
         self.stats.per_base[idx] += 1;
         let prog = &self.compiled.prog;
-        let (rule, returned) = match &mut self.vm {
-            None => {
-                let base = &self.compiled.bases[idx];
-                let rule = base.fire_into(
-                    prog,
-                    &self.args[params],
-                    &mut self.regs,
-                    inputs,
-                    &mut self.fx,
-                    self.probe.as_deref(),
-                )?;
-                for (id, args) in &self.fx.emits {
-                    let args = &self.fx.vals[args.clone()];
-                    // an interpretation that fired no rule emitted nothing
-                    let target = &base.emits[rule.unwrap_or_default()][*id];
-                    match target.base {
-                        Some(b) => {
-                            let start = self.args.len();
-                            self.args.extend_from_slice(args);
-                            self.queue.push_back((b, start..self.args.len()));
-                        }
-                        None => self.out.host_events.push(EventInstance {
-                            event: target.event.clone(),
-                            args: args.to_vec(),
-                        }),
-                    }
+        let base = &self.compiled.bases[idx];
+        let rule = base.fire_into(
+            prog,
+            &self.args[params],
+            &mut self.regs,
+            inputs,
+            &mut self.fx,
+            self.probe.as_deref(),
+        )?;
+        for (id, args) in &self.fx.emits {
+            let args = &self.fx.vals[args.clone()];
+            // an interpretation that fired no rule emitted nothing
+            let target = &base.emits[rule.unwrap_or_default()][*id];
+            match target.base {
+                Some(b) => {
+                    let start = self.args.len();
+                    self.args.extend_from_slice(args);
+                    self.queue.push_back((b, start..self.args.len()));
                 }
-                (rule, self.fx.returned)
+                None => self
+                    .out
+                    .host_events
+                    .push(EventInstance { event: target.event.clone(), args: args.to_vec() }),
             }
-            Some((vm, sc)) => {
-                let params = &self.args[params];
-                let out = match &self.probe {
-                    Some(p) => vm.bases[idx].fire_probed(
-                        prog,
-                        params,
-                        &mut self.regs,
-                        inputs,
-                        sc,
-                        p.as_ref(),
-                    )?,
-                    None => vm.bases[idx].fire(prog, params, &mut self.regs, inputs, sc)?,
-                };
-                for ev in out.emitted {
-                    match prog.rulebase(&ev.event) {
-                        Some((b, _)) => {
-                            let start = self.args.len();
-                            self.args.extend_from_slice(&ev.args);
-                            self.queue.push_back((b, start..self.args.len()));
-                        }
-                        None => self.out.host_events.push(ev),
-                    }
-                }
-                (out.rule, out.returned)
-            }
-        };
+        }
         // modeled steps: a fused rule counts as every interpretation it
         // replaced, so step-derived quantities match the original program
         let w = self.step_weights.as_ref().map_or(1, |sw| sw.weight(idx, rule));
         self.stats.total_steps += u64::from(w);
         self.stats.last_fire_steps += w;
-        self.out.outcomes.push(FireOutcome { rule, returned, emitted: Vec::new() });
+        self.out.outcomes.push(FireOutcome {
+            rule,
+            returned: self.fx.returned,
+            emitted: Vec::new(),
+        });
         Ok(())
     }
 }
@@ -488,6 +424,41 @@ mod tests {
         assert_eq!(casc.steps, 3, "rule 0 fired with weight 3");
         assert_eq!(m.stats.total_steps, 3);
         assert_eq!(m.stats.per_base[0], 1, "physical count unscaled");
+    }
+
+    #[test]
+    fn probe_and_step_weights_compose() {
+        // The modeled-cost contract under both hooks at once: with a probe
+        // attached and non-uniform `StepWeights` installed, the machine
+        // reports one stage record per stage of every dispatched fire and
+        // the weighted step counts.
+        use crate::probe::Stage;
+        use std::sync::Mutex;
+        #[derive(Default)]
+        struct Recorder(Mutex<Vec<(usize, Stage)>>);
+        impl InterpProbe for Recorder {
+            fn record_stage(&self, base: usize, stage: Stage, _nanos: u64) {
+                self.0.lock().unwrap().push((base, stage));
+            }
+        }
+
+        let p = parse(
+            "VARIABLE n IN 0 TO 7 INIT 0\n\
+             ON a()\n IF n < 3 THEN n <- n + 1, !a();\n IF n = 3 THEN !done(n);\nEND a;",
+        )
+        .unwrap();
+        let mut m = Machine::new(p, &CompileOptions::default()).unwrap();
+        let mut w = StepWeights::identity(m.program());
+        w.per_base[0] = vec![3, 5, 2]; // rule 0, rule 1, gap
+        m.set_step_weights(Arc::new(w));
+        let rec = Arc::new(Recorder::default());
+        m.set_probe(rec.clone());
+        let steps = m.fire_cascade("a", &[], &InputMap::new()).unwrap().steps;
+        // 3 fires of rule 0 (weight 3) + 1 fire of rule 1 (weight 5)
+        assert_eq!(steps, 14, "weighted cascade steps");
+        assert_eq!(m.stats.total_steps, 14);
+        assert_eq!(m.stats.per_base, vec![4], "per_base counts physical interpretations");
+        assert_eq!(rec.0.lock().unwrap().len(), 12, "three stages per dispatched fire");
     }
 
     #[test]

@@ -28,7 +28,6 @@ pub mod pretty;
 pub mod probe;
 pub mod token;
 pub mod value;
-pub mod vm;
 
 pub use ast::Program;
 pub use compile::{compile, compile_rulebase, CompileOptions, CompileWarning, ConflictKind};
@@ -42,4 +41,3 @@ pub use interp::{CompiledProgram, CompiledRuleBase, EmitTarget};
 pub use parser::parse;
 pub use probe::{InterpProbe, Stage};
 pub use value::{Domain, Type, Value};
-pub use vm::{Backend, VmProgram};

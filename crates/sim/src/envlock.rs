@@ -4,17 +4,10 @@
 //! harness runs tests concurrently, so two tests touching *any*
 //! environment variables can race — one reads while the other writes, or
 //! a variable leaks from one test into another. Every env-mutating test
-//! in the workspace goes through [`EnvGuard`]: it holds a process-global
-//! lock for the guard's lifetime (serializing all env-mutating tests,
-//! across crates, through this one chokepoint) and restores each touched
-//! variable to its pre-guard value on drop, even when the test panics.
-//!
-//! ```
-//! let mut g = ftr_sim::envlock::EnvGuard::new();
-//! g.set("FTR_THREADS", "3");
-//! // ... assertions ...
-//! // drop restores FTR_THREADS and releases the lock
-//! ```
+//! of this crate goes through [`EnvGuard`]: it holds a process-global
+//! lock for the guard's lifetime (serializing all env-mutating tests
+//! through this one chokepoint) and restores each touched variable to its
+//! pre-guard value on drop, even when the test panics.
 //!
 //! Tests that only *read* a variable another test mutates should also
 //! take the guard (a read under the lock cannot interleave with a
@@ -63,12 +56,6 @@ impl EnvGuard {
     }
 }
 
-impl Default for EnvGuard {
-    fn default() -> Self {
-        EnvGuard::new()
-    }
-}
-
 impl Drop for EnvGuard {
     fn drop(&mut self) {
         for (name, old) in self.saved.drain(..).rev() {
@@ -83,6 +70,20 @@ impl Drop for EnvGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn guard_serializes_and_releases_on_drop() {
+        const VAR: &str = "FTR_ENVLOCK_USAGE";
+        {
+            let mut g = EnvGuard::new();
+            g.set(VAR, "3");
+            assert_eq!(std::env::var(VAR).as_deref(), Ok("3"));
+            // drop restores the variable and releases the lock
+        }
+        assert!(std::env::var(VAR).is_err());
+        // the lock was released: a second guard is granted at once
+        let _again = EnvGuard::new();
+    }
 
     #[test]
     fn guard_restores_set_and_removed_vars() {

@@ -59,8 +59,8 @@
 
 mod arena;
 pub mod detect;
-pub mod engine;
-pub mod envlock;
+#[cfg(test)]
+mod envlock;
 pub mod fleet;
 pub mod flit;
 mod links;
@@ -73,7 +73,6 @@ pub mod sweep;
 pub mod traffic;
 
 pub use detect::{Detector, DetectorConfig, DetectorController, WithDetection};
-pub use engine::SimEngine;
 pub use fleet::{run_fleet, FleetJob, FleetOutcome};
 pub use flit::{Header, MessageId};
 pub use network::{BuildError, Network, NetworkBuilder, RetryPolicy, SendError, SimConfig};

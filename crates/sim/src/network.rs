@@ -541,15 +541,6 @@ impl NetworkBuilder {
             shard_scratch: (0..shards).map(|_| ShardScratch::default()).collect(),
         })
     }
-
-    /// Like [`NetworkBuilder::build`], but returns the network behind the
-    /// [`crate::engine::SimEngine`] facade.
-    pub fn build_engine(
-        self,
-        algo: &dyn RoutingAlgorithm,
-    ) -> Result<Box<dyn crate::engine::SimEngine>, BuildError> {
-        Ok(Box::new(self.build(algo)?))
-    }
 }
 
 /// The simulated network.

@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn worker_count_respects_env_override() {
         // mutating the process environment is global: serialize through
-        // the workspace-wide env lock, which also restores the pre-test
+        // the crate-wide env lock, which also restores the pre-test
         // value of FTR_THREADS on drop (even on panic)
         let mut env = crate::envlock::EnvGuard::new();
         env.set("FTR_THREADS", "3");

@@ -38,7 +38,7 @@ pub mod prelude {
     pub use ftr_rules::{InterpProbe, Machine, Program};
     pub use ftr_sim::{
         BuildError, FaultAction, FaultPlan, Network, NetworkBuilder, Pattern, RetryPolicy,
-        SendError, SimConfig, SimEngine, SimStats, TrafficSource,
+        SendError, SimConfig, SimStats, TrafficSource,
     };
     pub use ftr_topo::{FaultSet, Hypercube, Mesh2D, NodeId, PortId, Topology, VcId};
     pub use ftr_trace::{DiagnoserConfig, DiagnoserSink, JourneyBook, TraceReport};
